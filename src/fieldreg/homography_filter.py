@@ -29,7 +29,6 @@ from .geometry import (
     homography_params,
     ransac_homography,
 )
-from .keypoint_filter import _coord_idx
 from .motion import AffineSimilarity
 
 MAX_INNOVATION_CONDITION = 1e12
@@ -65,8 +64,9 @@ class HomographyNoiseConfig:
             object.__setattr__(self, "field_process", fp)
 
     def field_blocks(self, n):
+        """The (N, 2, 2) field process blocks, or None for a static field."""
         if self.field_process is None:
-            return np.zeros((n, 2, 2))
+            return None
         if self.field_process.shape[0] != n:
             raise DimensionMismatch(
                 f"field_process covers {self.field_process.shape[0]} keypoints, state has {n}")
@@ -133,17 +133,27 @@ def ekf_init(frame, template, noise, ransac=RansacParams()):
         raise DegenerateConfiguration(f"no RANSAC consensus at init: {e}") from e
 
     n = template.n
-    d = 2 * n + 8
-    cov = np.zeros((d, d))
-    fb = noise.field_blocks(n)
-    for j in range(n):
-        cov[2 * j:2 * j + 2, 2 * j:2 * j + 2] = fb[j]
+    cov = np.zeros((2 * n + 8, 2 * n + 8))
+    _add_field_process(cov, noise)
     cov[2 * n:, 2 * n:] = noise.init_cov
     return HomographyFilterState(
         field_mean=template.positions.ravel().copy(),
         h_mean=homography_params(H0),
         cov=cov,
     )
+
+
+def _add_diagonal_blocks(square, blocks):
+    """square[2j:2j+2, 2j:2j+2] += blocks[j] for each of the (k, 2, 2) blocks, in place."""
+    k = blocks.shape[0]
+    j = np.arange(k)
+    square[:2 * k, :2 * k].reshape(k, 2, k, 2)[j, :, j, :] += blocks
+
+
+def _add_field_process(cov, noise):
+    fb = noise.field_blocks((cov.shape[0] - 8) // 2)
+    if fb is not None:
+        _add_diagonal_blocks(cov, fb)
 
 
 def _transition_matrix(motion):
@@ -161,8 +171,9 @@ def ekf_predict(state, motion, noise):
 
     The homography mean is computed as the literal 3x3 product, so the
     predicted (h31, h32) equal their priors bitwise (A's last row is exactly
-    (0, 0, 1)).  Covariance uses blockdiag(I, F) with F the 8x8 transition,
-    plus process noise.
+    (0, 0, 1)).  The covariance goes through blockdiag(I, F), with F the 8x8
+    transition, by transforming only the 8 homography rows and columns; then
+    the process noise is added.
     """
     if not isinstance(motion, AffineSimilarity):
         raise TypeError(f"motion must be an AffineSimilarity, got {type(motion)!r}")
@@ -171,14 +182,12 @@ def ekf_predict(state, motion, noise):
     h_mean = homography_params(H_new)
 
     F = _transition_matrix(motion)
-    d = 2 * n + 8
-    M = np.eye(d)
-    M[2 * n:, 2 * n:] = F
-    cov = M @ state.cov @ M.T
-    fb = noise.field_blocks(n)
-    for j in range(n):
-        cov[2 * j:2 * j + 2, 2 * j:2 * j + 2] += fb[j]
-    cov[2 * n:, 2 * n:] += noise.homography_process
+    h = slice(2 * n, 2 * n + 8)
+    cov = state.cov.copy()
+    cov[h] = F @ cov[h]
+    cov[:, h] = cov[:, h] @ F.T
+    _add_field_process(cov, noise)
+    cov[h, h] += noise.homography_process
     cov = 0.5 * (cov + cov.T)
     return replace(state, field_mean=state.field_mean.copy(), h_mean=h_mean, cov=cov)
 
@@ -251,13 +260,19 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     """Correct the joint state against the first-stage posterior.
 
     The measurement for each active keypoint is the first-stage filter's
-    posterior mean, with that filter's posterior covariance sub-block as the
+    posterior mean, with that filter's posterior covariance block as the
     measurement noise.  Joseph-form covariance update.  An empty active set
     returns the state unchanged (pure-predict frame).
 
-    Raises SingularInnovation when the innovation covariance is singular or
-    has condition number above max_condition (callers skip the frame), and
-    NumericalDegeneracy from the Jacobian.
+    The algebra runs over the live state indices only: the rows of the
+    covariance that are not identically zero.  A dead row gets a zero gain
+    and stays zero, so this is exact.  With a static field (no field
+    process) only the 8 homography rows are live; with a field process
+    every row is.
+
+    Raises SingularInnovation when the innovation covariance is not finite,
+    not positive definite, or has condition number above max_condition
+    (callers skip the frame), and NumericalDegeneracy from the Jacobian.
     """
     active_idx = np.asarray(active_idx, dtype=int)
     if active_idx.size == 0:
@@ -268,27 +283,35 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     if not np.all(kp_state.measured_ever[active_idx]):
         raise ValueError("active keypoint was never measured; it has no estimate to fuse")
 
-    ci = _coord_idx(active_idx)
-    z = kp_state.mean[ci]
-    R = kp_state.cov[np.ix_(ci, ci)]
+    z = kp_state.keypoint_means()[active_idx].ravel()
+    R = np.zeros((z.size, z.size))
+    _add_diagonal_blocks(R, kp_state.cov[active_idx])
 
-    J = measurement_jacobian(state, active_idx, eps=eps)
+    live = np.flatnonzero(state.cov.any(axis=1))
+    P = state.cov[np.ix_(live, live)]
+    J = measurement_jacobian(state, active_idx, eps=eps)[:, live]
     pred = predict_measurements(state, active_idx, eps=eps).ravel()
-    P = state.cov
-    S = J @ P @ J.T + R
+    JP = J @ P
+    S = JP @ J.T + R
     S = 0.5 * (S + S.T)
 
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > max_condition:
-        raise SingularInnovation(f"innovation condition number {cond:.3e} exceeds {max_condition:.1e}")
+    if not np.all(np.isfinite(S)):
+        raise SingularInnovation("innovation covariance is not finite")
     try:
-        np.linalg.cholesky(S)
+        eig = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError:
-        raise SingularInnovation("innovation covariance is not positive definite") from None
+        raise SingularInnovation("innovation eigenvalues did not converge") from None
+    if not eig[0] > 0.0:
+        raise SingularInnovation("innovation covariance is not positive definite")
+    cond = eig[-1] / eig[0]
+    if not cond <= max_condition:
+        raise SingularInnovation(f"innovation condition number {cond:.3e} exceeds {max_condition:.1e}")
 
-    K = np.linalg.solve(S, J @ P).T
-    mean = state.stacked_mean() + K @ (z - pred)
-    A = np.eye(2 * n + 8) - K @ J
-    cov = A @ P @ A.T + K @ R @ K.T
-    cov = 0.5 * (cov + cov.T)
+    K = np.linalg.solve(S, JP).T
+    mean = state.stacked_mean()
+    mean[live] += K @ (z - pred)
+    A = np.eye(live.size) - K @ J
+    cov_live = A @ P @ A.T + K @ R @ K.T
+    cov = np.zeros_like(state.cov)
+    cov[np.ix_(live, live)] = 0.5 * (cov_live + cov_live.T)
     return HomographyFilterState(field_mean=mean[:2 * n], h_mean=mean[2 * n:], cov=cov)

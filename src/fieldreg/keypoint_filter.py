@@ -2,9 +2,12 @@
 
 State is the 2N vector (x0, y0, x1, y1, ...) over every template keypoint,
 driven by the global AffineSimilarity motion and corrected with whichever
-keypoints the detector produced this frame.  Keypoints never seen yet carry a
-zero mean/covariance block and are masked out via measured_ever; their blocks
-are initialized directly from the first observation.
+keypoints the detector produced this frame.  Keypoints are independent by
+construction: the motion acts on each one alone, the measurement selects
+keypoints and the noise is per keypoint.  So the covariance is kept as its
+(N, 2, 2) diagonal blocks, and every step is closed-form 2x2 algebra over
+the stack.  Keypoints never seen yet are masked out via measured_ever; their
+blocks are initialized directly from the first observation.
 """
 
 from dataclasses import dataclass, field, replace
@@ -90,19 +93,11 @@ class NoiseConfig:
     def n(self):
         return self.process.shape[0]
 
-    def full_process_cov(self):
-        """Block-diagonal (2N, 2N) process covariance."""
-        n = self.n
-        Q = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            Q[2 * j:2 * j + 2, 2 * j:2 * j + 2] = self.process[j]
-        return Q
-
 
 @dataclass(frozen=True)
 class KeypointFilterState:
-    mean: np.ndarray           # (2N,)
-    cov: np.ndarray            # (2N, 2N)
+    mean: np.ndarray           # (2N,) stacked (x, y) per keypoint
+    cov: np.ndarray            # (N, 2, 2) covariance block per keypoint; cross-covariances are zero
     measured_ever: np.ndarray  # (N,) bool
     measured_now: np.ndarray   # (N,) bool
 
@@ -113,11 +108,12 @@ class KeypointFilterState:
         now = np.asarray(self.measured_now, dtype=bool)
         for nm, v in (("mean", mean), ("cov", cov), ("measured_ever", ever), ("measured_now", now)):
             object.__setattr__(self, nm, v)
-        n2 = mean.shape[0]
-        if n2 % 2 or cov.shape != (n2, n2) or ever.shape != (n2 // 2,) or now.shape != ever.shape:
+        n = mean.shape[0] // 2
+        if (mean.shape[0] % 2 or cov.shape != (n, 2, 2)
+                or ever.shape != (n,) or now.shape != ever.shape):
             raise DimensionMismatch(
-                f"inconsistent state shapes: mean {mean.shape}, cov {cov.shape}, "
-                f"masks {ever.shape}/{now.shape}")
+                f"inconsistent state shapes: mean {mean.shape}, cov {cov.shape} "
+                f"(expected ({n}, 2, 2)), masks {ever.shape}/{now.shape}")
 
     @property
     def n(self):
@@ -132,7 +128,7 @@ def init_keypoint_state(n):
     """Empty state: nothing measured, zero mean and covariance."""
     return KeypointFilterState(
         mean=np.zeros(2 * n),
-        cov=np.zeros((2 * n, 2 * n)),
+        cov=np.zeros((n, 2, 2)),
         measured_ever=np.zeros(n, dtype=bool),
         measured_now=np.zeros(n, dtype=bool),
     )
@@ -149,32 +145,23 @@ def init_keypoint_state_from_positions(positions, noise):
     n = noise.n
     if pos.shape != (n, 2):
         raise DimensionMismatch(f"positions {pos.shape} vs {n} noise blocks")
-    cov = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        cov[2 * j:2 * j + 2, 2 * j:2 * j + 2] = noise.measurement[j]
     return KeypointFilterState(
         mean=pos.ravel().copy(),
-        cov=cov,
+        cov=noise.measurement.copy(),
         measured_ever=np.ones(n, dtype=bool),
         measured_now=np.zeros(n, dtype=bool),
     )
 
 
-def _coord_idx(ids):
-    """Interleaved coordinate indices (2j, 2j+1, ...) for keypoint indices."""
-    ids = np.asarray(ids, dtype=int)
-    out = np.empty(2 * ids.size, dtype=int)
-    out[0::2] = 2 * ids
-    out[1::2] = 2 * ids + 1
-    return out
+def _symmetric(blocks):
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
 
 def lkf_predict(state, motion, noise):
     """Propagate every keypoint through the global motion and inflate by process noise.
 
-    mean_j <- A mean_j + t for each keypoint; cov <- blockdiag(A) cov
-    blockdiag(A)^T + Q.  Keypoint independence is preserved: zero off-diagonal
-    blocks stay exactly zero.  Masks are untouched.
+    mean_j <- A mean_j + t and P_j <- A P_j A^T + Q_j for each keypoint j,
+    with A the motion's 2x2 linear part.  Masks are untouched.
     """
     if not isinstance(motion, AffineSimilarity):
         raise TypeError(f"motion must be an AffineSimilarity, got {type(motion)!r}")
@@ -182,10 +169,9 @@ def lkf_predict(state, motion, noise):
     if noise.n != n:
         raise DimensionMismatch(f"state has {n} keypoints, noise has {noise.n}")
 
-    mean = (state.keypoint_means() @ motion.linear.T + motion.translation).ravel()
-    F = np.kron(np.eye(n), motion.linear)
-    cov = F @ state.cov @ F.T + noise.full_process_cov()
-    cov = 0.5 * (cov + cov.T)
+    A = motion.linear
+    mean = (state.keypoint_means() @ A.T + motion.translation).ravel()
+    cov = _symmetric(A @ state.cov @ A.T + noise.process)
     return replace(state, mean=mean, cov=cov,
                    measured_ever=state.measured_ever.copy(),
                    measured_now=state.measured_now.copy())
@@ -197,12 +183,13 @@ def lkf_update(state, frame, noise):
     Keypoints observed for the first time are initialized directly: mean from
     the observation, covariance block from that keypoint's measurement noise
     (the covariance-at-first-observation convention of this package).
-    Previously seen keypoints get a standard Kalman update through a selection
-    measurement matrix, Joseph-form covariance.  measured_now is rewritten to
-    exactly this frame's ids; measured_ever accumulates.
+    Previously seen keypoints get a standard Kalman update of their own
+    block: S_j = P_j + R_j, K_j = P_j S_j^-1, Joseph-form covariance.
+    measured_now is rewritten to exactly this frame's ids; measured_ever
+    accumulates.
 
     Raises UnknownKeypointId for out-of-range indices and SingularInnovation
-    when the innovation covariance is not positive definite.
+    when an innovation block is not positive definite.
     """
     n = state.n
     if noise.n != n:
@@ -215,44 +202,28 @@ def lkf_update(state, frame, noise):
     measured_now[ids] = True
     measured_ever = state.measured_ever | measured_now
 
-    if ids.size == 0:
-        return replace(state, mean=state.mean.copy(), cov=state.cov.copy(),
-                       measured_ever=measured_ever, measured_now=measured_now)
-
-    new_mask = ~state.measured_ever[ids]
-    new_ids = ids[new_mask]
-    known_ids = ids[~new_mask]
-
-    mean = state.mean.copy()
+    new = ~state.measured_ever[ids]
+    known = ids[~new]
+    mean = state.keypoint_means().copy()
     cov = state.cov.copy()
 
-    if known_ids.size:
-        ci = _coord_idx(known_ids)
-        y = frame.positions[~new_mask].ravel()
-        R = np.zeros((ci.size, ci.size))
-        for r, j in enumerate(known_ids):
-            R[2 * r:2 * r + 2, 2 * r:2 * r + 2] = noise.measurement[j]
-        S = cov[np.ix_(ci, ci)] + R
-        try:
-            np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
-            raise SingularInnovation(
-                "innovation covariance is not positive definite") from None
-        K = np.linalg.solve(S, cov[ci, :]).T          # P H^T S^-1, (2N, 2K)
-        mean = mean + K @ (y - mean[ci])
-        A = np.eye(2 * n)
-        A[:, ci] -= K                                  # I - K H for a selection H
-        cov = A @ cov @ A.T + K @ R @ K.T
+    if known.size:
+        P = cov[known]
+        R = noise.measurement[known]
+        S = P + R
+        a, b, c, d = S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1]
+        det = a * d - b * c
+        if not (np.all(a > 0) and np.all(det > 0)):
+            raise SingularInnovation("innovation covariance is not positive definite")
+        S_inv = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2) / det[:, None, None]
+        K = P @ S_inv
+        innovation = frame.positions[~new] - mean[known]
+        mean[known] += (K @ innovation[:, :, None])[:, :, 0]
+        IK = np.eye(2) - K
+        cov[known] = (IK @ P @ IK.transpose(0, 2, 1)
+                      + K @ R @ K.transpose(0, 2, 1))
 
-    for r, j in enumerate(ids):
-        if not new_mask[r]:
-            continue
-        sl = slice(2 * j, 2 * j + 2)
-        mean[sl] = frame.positions[r]
-        cov[sl, :] = 0.0
-        cov[:, sl] = 0.0
-        cov[sl, sl] = noise.measurement[j]
-
-    cov = 0.5 * (cov + cov.T)
-    return replace(state, mean=mean, cov=cov,
+    mean[ids[new]] = frame.positions[new]
+    cov[ids[new]] = noise.measurement[ids[new]]
+    return replace(state, mean=mean.ravel(), cov=_symmetric(cov),
                    measured_ever=measured_ever, measured_now=measured_now)

@@ -125,7 +125,10 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
     pre_init estimates with no homography.  Per steady-state frame: resolve
     motion, keypoint predict + update, homography predict + update over the
     active set, emit.  Update failures are flagged and skipped, never fatal.
-    State memory is quadratic in keypoint count and flat in sequence length.
+    State memory is flat in sequence length.  The keypoint stage is linear
+    in keypoint count; the homography stage stores a (2N + 8)-square
+    covariance, but with a static field its algebra runs on the 8
+    homography rows only.
 
     Raises NoInitializableFrame (after the sequence ends) if nothing
     initialized, and UnknownKeypointId on out-of-template indices.

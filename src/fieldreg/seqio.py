@@ -188,7 +188,10 @@ def iter_sequence(path, template):
                 p = row["motion"]
                 if not isinstance(p, list) or len(p) != 4:
                     raise FormatError("motion must be [a, b, tx, ty]", path=path, line=lineno)
-                motion = AffineSimilarity(*[float(v) for v in p])
+                try:
+                    motion = AffineSimilarity(*[float(v) for v in p])
+                except (TypeError, ValueError) as e:
+                    raise FormatError(f"bad motion: {e}", path=path, line=lineno) from None
             flow = None
             if "flow" in row:
                 try:
@@ -284,9 +287,12 @@ def read_estimates(path, template):
                 raise FormatError(f"invalid JSON: {e}", path=path, line=lineno) from None
             if header is None:
                 _expect_kind(row, ESTIMATES_KIND, path)
-                header = SequenceHeader(
-                    sequence_id=str(row["sequence_id"]),
-                    dims=ImageDims(int(row["width_px"]), int(row["height_px"])))
+                try:
+                    header = SequenceHeader(
+                        sequence_id=str(row["sequence_id"]),
+                        dims=ImageDims(int(row["width_px"]), int(row["height_px"])))
+                except (KeyError, TypeError, ValueError) as e:
+                    raise FormatError(f"bad estimates header: {e}", path=path, line=lineno) from None
                 continue
             try:
                 idx = int(row["frame"])
@@ -297,7 +303,11 @@ def read_estimates(path, template):
             last_frame = idx
             H = row.get("homography")
             if H is not None:
-                H = np.array(H, dtype=float).reshape(3, 3)
+                try:
+                    H = np.array(H, dtype=float).reshape(3, 3)
+                except (TypeError, ValueError) as e:
+                    raise FormatError(f"homography must be a 3x3 matrix: {e}",
+                                      path=path, line=lineno) from None
             k_idx, k_pos = _parse_id_pos(row.get("keypoints", []), template, path, lineno)
             out.append(FrameEstimate(
                 frame_index=idx, homography=H, keypoint_ids=k_idx,

@@ -23,6 +23,7 @@ from fieldreg.homography_filter import (
 )
 from fieldreg.keypoint_filter import KeypointFilterState, MeasurementFrame
 from fieldreg.motion import AffineSimilarity
+from dense_filter import block_diag
 from helpers import TEMPLATE, fd_jacobian, view_homography
 
 
@@ -45,10 +46,10 @@ def full_kp_state(rng, state, meas_cov_scale=1.0):
     n = state.n
     proj = apply_homography(reconstruct_homography(state), TEMPLATE.positions)
     mean = (proj + rng.normal(0, 1.0, size=proj.shape)).ravel()
-    cov = np.zeros((2 * n, 2 * n))
+    cov = np.zeros((n, 2, 2))
     for j in range(n):
         A = rng.normal(0, meas_cov_scale, size=(2, 2))
-        cov[2 * j:2 * j + 2, 2 * j:2 * j + 2] = A @ A.T + 0.5 * np.eye(2)
+        cov[j] = A @ A.T + 0.5 * np.eye(2)
     return KeypointFilterState(mean=mean, cov=cov,
                                measured_ever=np.ones(n, dtype=bool),
                                measured_now=np.ones(n, dtype=bool))
@@ -166,7 +167,7 @@ def test_update_matches_dense_oracle():
     ci[0::2] = 2 * active
     ci[1::2] = 2 * active + 1
     z = kp.mean[ci]
-    R = kp.cov[np.ix_(ci, ci)]
+    R = block_diag(kp.cov)[np.ix_(ci, ci)]
     J = measurement_jacobian(state, active)
     pred = predict_measurements(state, active).ravel()
     P = state.cov
@@ -197,7 +198,7 @@ def test_update_pulls_homography_toward_truth():
     n = state.n
     proj = apply_homography(H, TEMPLATE.positions)
     kp = KeypointFilterState(mean=proj.ravel(),
-                             cov=np.kron(np.eye(n), 0.01 * np.eye(2)),
+                             cov=np.tile(0.01 * np.eye(2), (n, 1, 1)),
                              measured_ever=np.ones(n, dtype=bool),
                              measured_now=np.ones(n, dtype=bool))
     updated = ekf_update(bad, kp, np.arange(n), max_condition=1e18)
@@ -257,3 +258,29 @@ def test_covariance_symmetric_psd_over_steps():
         state = ekf_update(state, kp, active)
         assert np.array_equal(state.cov, state.cov.T)
         assert np.linalg.eigvalsh(state.cov).min() > -1e-9
+
+
+def test_indefinite_keypoint_block_raises():
+    # no condition cap: the positive-definiteness test alone must reject it
+    state, _ = init_state()
+    rng = np.random.default_rng(7)
+    kp = full_kp_state(rng, state)
+    cov = kp.cov.copy()
+    cov[3] = np.array([[1.0, 0.0], [0.0, -1e9]])
+    kp = KeypointFilterState(mean=kp.mean, cov=cov, measured_ever=kp.measured_ever,
+                             measured_now=kp.measured_now)
+    with pytest.raises(SingularInnovation):
+        ekf_update(state, kp, np.arange(state.n), max_condition=np.inf)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_innovation_raises(bad):
+    state, _ = init_state()
+    rng = np.random.default_rng(8)
+    kp = full_kp_state(rng, state)
+    cov = kp.cov.copy()
+    cov[5, 0, 0] = bad
+    kp = KeypointFilterState(mean=kp.mean, cov=cov, measured_ever=kp.measured_ever,
+                             measured_now=kp.measured_now)
+    with pytest.raises(SingularInnovation):
+        ekf_update(state, kp, np.arange(state.n), max_condition=np.inf)

@@ -14,6 +14,7 @@ from fieldreg.keypoint_filter import (
     lkf_update,
 )
 from fieldreg.motion import AffineSimilarity
+from dense_filter import block_diag
 
 
 def random_spd(rng, d=2, scale=1.0):
@@ -36,7 +37,7 @@ def dense_predict(mean, cov, motion, noise):
     n = noise.n
     F = np.kron(np.eye(n), motion.linear)
     u = np.tile(motion.translation, n)
-    return F @ mean + u, F @ cov @ F.T + noise.full_process_cov()
+    return F @ mean + u, F @ cov @ F.T + block_diag(noise.process)
 
 
 def dense_update(mean, cov, ids, y, noise):
@@ -64,12 +65,13 @@ def test_first_observation_initializes_directly():
     state = lkf_update(state, obs, noise)
     assert np.array_equal(state.keypoint_means()[2], [10.0, 20.0])
     assert np.array_equal(state.keypoint_means()[0], [-1.0, 3.0])
-    assert np.allclose(state.cov[4:6, 4:6], noise.measurement[2], atol=0)
-    assert np.allclose(state.cov[0:2, 0:2], noise.measurement[0], atol=0)
+    cov = block_diag(state.cov)
+    assert np.allclose(cov[4:6, 4:6], noise.measurement[2], atol=0)
+    assert np.allclose(cov[0:2, 0:2], noise.measurement[0], atol=0)
     assert state.measured_ever.tolist() == [True, False, True, False]
     assert state.measured_now.tolist() == [True, False, True, False]
     # cross-covariance between keypoints starts (and stays) zero
-    assert np.all(state.cov[0:2, 4:6] == 0.0)
+    assert np.all(cov[0:2, 4:6] == 0.0)
 
 
 def test_filter_matches_dense_oracle():
@@ -79,14 +81,14 @@ def test_filter_matches_dense_oracle():
     state = init_keypoint_state(n)
     first = MeasurementFrame(0, np.arange(n), rng.uniform(0, 100, size=(n, 2)))
     state = lkf_update(state, first, noise)
-    mean, cov = state.mean.copy(), state.cov.copy()
+    mean, cov = state.mean.copy(), block_diag(state.cov)
 
     for step in range(1, 7):
         motion = random_motion(rng)
         state = lkf_predict(state, motion, noise)
         mean, cov = dense_predict(mean, cov, motion, noise)
         assert np.allclose(state.mean, mean, atol=1e-10)
-        assert np.allclose(state.cov, cov, atol=1e-10)
+        assert np.allclose(block_diag(state.cov), cov, atol=1e-10)
 
         k = rng.integers(1, n + 1)
         ids = rng.choice(n, size=k, replace=False)
@@ -94,7 +96,7 @@ def test_filter_matches_dense_oracle():
         state = lkf_update(state, MeasurementFrame(step, ids, y), noise)
         mean, cov = dense_update(mean, cov, ids, y, noise)
         assert np.allclose(state.mean, mean, atol=1e-9)
-        assert np.allclose(state.cov, cov, atol=1e-9)
+        assert np.allclose(block_diag(state.cov), cov, atol=1e-9)
 
 
 def test_mixed_new_and_known_matches_oracle():
@@ -105,7 +107,7 @@ def test_mixed_new_and_known_matches_oracle():
     state = init_keypoint_state(4)
     state = lkf_update(state, MeasurementFrame(0, np.array([0, 1]),
                                                np.array([[5.0, 5.0], [9.0, 1.0]])), noise)
-    mean, cov = state.mean.copy(), state.cov.copy()
+    mean, cov = state.mean.copy(), block_diag(state.cov)
     motion = random_motion(rng)
     state = lkf_predict(state, motion, noise)
     mean, cov = dense_predict(mean, cov, motion, noise)
@@ -118,7 +120,7 @@ def test_mixed_new_and_known_matches_oracle():
     cov[:, 6:8] = 0.0
     cov[6:8, 6:8] = noise.measurement[3]
     assert np.allclose(state.mean, mean, atol=1e-9)
-    assert np.allclose(state.cov, cov, atol=1e-9)
+    assert np.allclose(block_diag(state.cov), cov, atol=1e-9)
     assert state.measured_ever.tolist() == [True, True, False, True]
     assert state.measured_now.tolist() == [False, True, False, True]
 
@@ -132,7 +134,7 @@ def test_predict_pure_translation():
     moved = lkf_predict(state, AffineSimilarity(a=1.0, b=0.0, tx=3.0, ty=-1.0), noise)
     assert np.allclose(moved.keypoint_means() - state.keypoint_means(),
                        [[3.0, -1.0]] * 3, atol=0)
-    assert np.allclose(moved.cov, state.cov + 0.5 * np.eye(6), atol=1e-15)
+    assert np.allclose(block_diag(moved.cov), block_diag(state.cov) + 0.5 * np.eye(6), atol=1e-15)
     assert np.array_equal(moved.measured_ever, state.measured_ever)
     assert np.array_equal(moved.measured_now, state.measured_now)
 
@@ -164,8 +166,9 @@ def test_covariance_stays_symmetric_and_psd():
         ids = rng.choice(n, size=k, replace=False)
         y = rng.uniform(0, 100, size=(k, 2))
         state = lkf_update(state, MeasurementFrame(step, ids, y), noise)
-        assert np.array_equal(state.cov, state.cov.T)
-        assert np.linalg.eigvalsh(state.cov).min() > -1e-9
+        cov = block_diag(state.cov)
+        assert np.array_equal(cov, cov.T)
+        assert np.linalg.eigvalsh(cov).min() > -1e-9
 
 
 def test_singular_innovation_raises():
@@ -184,7 +187,7 @@ def test_init_from_positions():
     state = init_keypoint_state_from_positions(pos, noise)
     assert np.array_equal(state.keypoint_means(), pos)
     for j in range(4):
-        assert np.array_equal(state.cov[2 * j:2 * j + 2, 2 * j:2 * j + 2],
+        assert np.array_equal(block_diag(state.cov)[2 * j:2 * j + 2, 2 * j:2 * j + 2],
                               noise.measurement[j])
     assert state.measured_ever.all()
     assert not state.measured_now.any()
@@ -204,7 +207,7 @@ def test_input_validation():
         lkf_update(init_keypoint_state(4),
                    MeasurementFrame(0, np.array([0]), np.array([[0.0, 0.0]])), noise)
     with pytest.raises(DimensionMismatch):
-        KeypointFilterState(mean=np.zeros(4), cov=np.zeros((4, 4)),
+        KeypointFilterState(mean=np.zeros(4), cov=np.zeros((2, 2, 2)),
                             measured_ever=np.zeros(3, dtype=bool),
                             measured_now=np.zeros(3, dtype=bool))
 
@@ -215,3 +218,25 @@ def test_from_pairs():
     assert frame.ids.tolist() == [3, 0]
     assert frame.positions.tolist() == [[1.0, 2.0], [5.0, 6.0]]
     assert frame.k == 2
+
+
+def test_indefinite_innovation_block_raises():
+    # keypoint 1's block has a positive diagonal but a negative determinant,
+    # so only the 2x2 determinant test can reject its innovation block
+    noise = NoiseConfig.uniform(2, process=np.eye(2), measurement=np.eye(2))
+    cov = np.stack([np.eye(2), np.array([[1.0, 3.0], [3.0, 1.0]])])
+    state = KeypointFilterState(mean=np.zeros(4), cov=cov,
+                                measured_ever=np.ones(2, dtype=bool),
+                                measured_now=np.zeros(2, dtype=bool))
+    frame = MeasurementFrame(1, np.array([0, 1]), np.ones((2, 2)))
+    with pytest.raises(SingularInnovation):
+        lkf_update(state, frame, noise)
+    # the well-posed keypoint alone updates fine
+    lkf_update(state, MeasurementFrame(1, np.array([0]), np.ones((1, 2))), noise)
+
+
+def test_dense_covariance_layout_rejected():
+    with pytest.raises(DimensionMismatch):
+        KeypointFilterState(mean=np.zeros(6), cov=np.zeros((6, 6)),
+                            measured_ever=np.zeros(3, dtype=bool),
+                            measured_now=np.zeros(3, dtype=bool))

@@ -304,6 +304,49 @@ def test_sequence_format_errors(tmp_path):
         read_template(bad)
 
 
+def _format_error(reader, path, line):
+    with pytest.raises(FormatError) as info:
+        reader(path, TEMPLATE)
+    err = info.value
+    assert (err.path, err.line) == (path, line)
+    assert str(err).startswith(f"{path}: line {line}: ")
+    return str(err)
+
+
+def _estimates_lines(tmp_path):
+    ests = run_filter(sim_frames(n_frames=3), TEMPLATE, default_covariance_bank())
+    path = tmp_path / "est.jsonl"
+    write_estimates(path, SequenceHeader("est", DIMS), ests, TEMPLATE)
+    return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def test_estimates_header_without_sequence_id_is_a_format_error(tmp_path):
+    path, rows = _estimates_lines(tmp_path)
+    del rows[0]["sequence_id"]
+    _write_rows(path, rows)
+    assert "sequence_id" in _format_error(read_estimates, path, 1)
+
+
+def test_non_numeric_motion_is_a_format_error(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    write_sequence(path, SequenceHeader("seq", DIMS), sim_frames(n_frames=3), TEMPLATE)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[2]["motion"] = [1.0, 0.0, "x", 0.0]
+    _write_rows(path, rows)
+    assert "motion" in _format_error(read_sequence, path, 3)
+
+
+def test_misshapen_homography_is_a_format_error(tmp_path):
+    path, rows = _estimates_lines(tmp_path)
+    rows[3]["homography"] = [[1.0, 0.0], [0.0, 1.0]]
+    _write_rows(path, rows)
+    assert "homography" in _format_error(read_estimates, path, 4)
+
+
 def test_estimates_round_trip(tmp_path):
     frames = sim_frames(n_frames=5)
     ests = run_filter(frames, TEMPLATE, default_covariance_bank())
