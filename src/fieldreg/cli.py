@@ -24,6 +24,7 @@ from .field import ImageDims, standard_soccer_template
 from .geometry import RansacParams, dlt_homography
 from .motion import AffineSimilarity
 from .pipeline import (
+    MOTION_SOURCES,
     FilterOptions,
     run_calibrate,
     run_evaluate,
@@ -283,7 +284,7 @@ def build_parser():
     p.add_argument("--bank", help="covariance bank JSON (default: built-in reference values)")
     p.add_argument("--output", required=True, help="estimates JSONL to write")
     p.add_argument("--motion-source", dest="motion_source",
-                   choices=("provided", "estimate", "identity", "gt"),
+                   choices=MOTION_SOURCES,
                    help="inter-frame motion source (default provided)")
     p.add_argument("--active-set", dest="active_set",
                    choices=("measured_now", "measured_ever"),

@@ -45,7 +45,7 @@ from .metrics import (
 )
 from .motion import AffineSimilarity, estimate_global_motion
 
-MOTION_SOURCES = ("provided", "estimate", "identity", "gt")
+MOTION_SOURCES = ("provided", "estimate", "identity")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _resolve_motion(frame, options):
     src = options.motion_source
     if src == "identity":
         return AffineSimilarity.identity(), []
-    if src in ("provided", "gt"):
+    if src == "provided":
         if frame.motion is not None:
             return frame.motion, []
         return AffineSimilarity.identity(), ["identity_motion_fallback"]
@@ -127,8 +127,10 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
     active set, emit.  Update failures are flagged and skipped, never fatal.
     State memory is flat in sequence length.  The keypoint stage is linear
     in keypoint count; the homography stage stores a (2N + 8)-square
-    covariance, but with a static field its algebra runs on the 8
-    homography rows only.
+    covariance, but with a static field its update is 8x8 algebra in
+    information form, gated by a certified bound on the innovation's
+    condition number (the exact eigenvalue test runs only when the bound
+    cannot decide).
 
     Raises NoInitializableFrame (after the sequence ends) if nothing
     initialized, and UnknownKeypointId on out-of-template indices.

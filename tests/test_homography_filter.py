@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from fieldreg import homography_filter
 from fieldreg.errors import (
     DegenerateConfiguration,
     InsufficientPoints,
     NumericalDegeneracy,
     SingularInnovation,
+    UnknownKeypointId,
 )
 from fieldreg.geometry import apply_homography, homography_params
 from fieldreg.homography_filter import (
@@ -23,6 +25,7 @@ from fieldreg.homography_filter import (
 )
 from fieldreg.keypoint_filter import KeypointFilterState, MeasurementFrame
 from fieldreg.motion import AffineSimilarity
+import dense_filter as dense
 from dense_filter import block_diag
 from helpers import TEMPLATE, fd_jacobian, view_homography
 
@@ -118,6 +121,25 @@ def test_predict_covariance_oracle():
     Q[2 * n:, 2 * n:] = noise.homography_process
     expect = M @ state.cov @ M.T + Q
     assert np.allclose(moved.cov, 0.5 * (expect + expect.T), atol=1e-15)
+
+
+def test_predict_covariance_exactly_symmetric_with_field_process():
+    # only the homography rows and columns are symmetrized; the field blocks
+    # must stay exactly symmetric on their own
+    state, _ = init_state()
+    n = state.n
+    rng = np.random.default_rng(13)
+    A = rng.normal(size=(2 * n + 8, 2 * n + 8))
+    state = HomographyFilterState(field_mean=state.field_mean, h_mean=state.h_mean,
+                                  cov=1e-3 * (A @ A.T))
+    fp = rng.normal(size=(n, 2, 2))
+    noise = HomographyNoiseConfig(homography_process=1e-6 * np.eye(8), init_cov=np.eye(8),
+                                  field_process=fp @ fp.transpose(0, 2, 1))
+    for _ in range(5):
+        m = AffineSimilarity(a=rng.normal(1, 0.05), b=rng.normal(0, 0.05),
+                             tx=rng.normal(0, 3), ty=rng.normal(0, 3))
+        state = ekf_predict(state, m, noise)
+        assert np.array_equal(state.cov, state.cov.T)
 
 
 def test_predicted_measurements_are_projections():
@@ -273,6 +295,7 @@ def test_indefinite_keypoint_block_raises():
         ekf_update(state, kp, np.arange(state.n), max_condition=np.inf)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_innovation_raises(bad):
     state, _ = init_state()
@@ -284,3 +307,142 @@ def test_non_finite_innovation_raises(bad):
                              measured_now=kp.measured_now)
     with pytest.raises(SingularInnovation):
         ekf_update(state, kp, np.arange(state.n), max_condition=np.inf)
+
+
+@pytest.mark.parametrize("bad", ["n", -1])
+def test_out_of_range_active_index_raises(bad):
+    state, _ = init_state()
+    kp = full_kp_state(np.random.default_rng(9), state)
+    active = np.array([0, state.n if bad == "n" else bad])
+    with pytest.raises(UnknownKeypointId):
+        ekf_update(state, kp, active)
+    with pytest.raises(UnknownKeypointId):
+        predict_measurements(state, active)
+    with pytest.raises(UnknownKeypointId):
+        measurement_jacobian(state, active)
+
+
+def test_field_process_must_be_finite_and_symmetric():
+    good = np.tile(np.array([[0.02, 0.005], [0.005, 0.01]]), (4, 1, 1))
+    for j, r, c, value in ((1, 0, 0, np.nan), (2, 0, 1, 0.006), (3, 1, 1, np.inf)):
+        fp = good.copy()
+        fp[j, r, c] = value
+        with pytest.raises(ValueError):
+            HomographyNoiseConfig(homography_process=np.eye(8), init_cov=np.eye(8),
+                                  field_process=fp)
+    # within the shared 1e-9 tolerance: accepted and made exactly symmetric
+    fp = good.copy()
+    fp[0, 0, 1] += 1e-12
+    noise = HomographyNoiseConfig(homography_process=np.eye(8), init_cov=np.eye(8),
+                                  field_process=fp)
+    assert np.array_equal(noise.field_process, noise.field_process.transpose(0, 2, 1))
+
+
+def dense_kp(kp):
+    return dense.DenseKeypointState(kp.mean, block_diag(kp.cov), kp.measured_ever,
+                                    kp.measured_now)
+
+
+def exact_spectrum(state, kp, active):
+    """Extreme eigenvalues of the dense S = J P J^T + R."""
+    J = measurement_jacobian(state, active)
+    R = block_diag(kp.cov[active])
+    S = J @ state.cov @ J.T + R
+    eig = np.linalg.eigvalsh(0.5 * (S + S.T))
+    return eig[0], eig[-1]
+
+
+def innovation_bounds(JC, blocks):
+    a, c = blocks[:, 0, 0], blocks[:, 1, 1]
+    b = blocks[:, 0, 1]
+    return homography_filter._innovation_bounds(JC, a, b, c, a * c - b * b)
+
+
+def cheap_condition_bound(state, kp, active):
+    n = state.n
+    h = slice(2 * n, 2 * n + 8)
+    J = measurement_jacobian(state, active)[:, h]
+    lo, hi = innovation_bounds(J @ np.linalg.cholesky(state.cov[h, h]), kp.cov[active])
+    return hi / lo
+
+
+def assert_matches_dense(state, kp, active, max_condition):
+    got = ekf_update(state, kp, active, max_condition=max_condition)
+    want = dense.ekf_update(state, dense_kp(kp), active, max_condition=max_condition)
+    for a, b in ((got.stacked_mean(), want.stacked_mean()), (got.cov, want.cov)):
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def spy_on_exact_update(monkeypatch):
+    calls = []
+    exact = homography_filter._exact_update
+
+    def spy(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(homography_filter, "_exact_update", spy)
+    return calls
+
+
+def test_condition_bounds_enclose_exact_spectrum():
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        k, dim = rng.integers(1, 40), rng.integers(1, 12)
+        J = rng.normal(0.0, 10.0 ** rng.uniform(-2, 3), size=(2 * k, dim))
+        C = np.tril(rng.normal(size=(dim, dim))) * 10.0 ** rng.uniform(-4, 1)
+        A = rng.normal(size=(k, 2, 2))
+        blocks = A @ A.transpose(0, 2, 1) + 10.0 ** rng.uniform(-6, 0) * np.eye(2)
+        S = J @ C @ C.T @ J.T + block_diag(blocks)
+        eig = np.linalg.eigvalsh(0.5 * (S + S.T))
+        lo, hi = innovation_bounds(J @ C, blocks)
+        assert 0.0 < lo <= eig[0] * (1.0 + 1e-9)
+        assert hi >= eig[-1] * (1.0 - 1e-9)
+        assert hi / lo >= (eig[-1] / eig[0]) * (1.0 - 1e-9)
+
+
+def gate_case():
+    noise = HomographyNoiseConfig(homography_process=1e-6 * np.eye(8),
+                                  init_cov=1e-6 * np.eye(8))
+    state, _ = init_state(noise=noise)
+    kp = full_kp_state(np.random.default_rng(11), state)
+    active = np.arange(state.n)
+    lo, hi = exact_spectrum(state, kp, active)
+    return state, kp, active, hi / lo
+
+
+def test_fallback_accepts_between_exact_condition_and_bound(monkeypatch):
+    # the cheap bound cannot certify this cap, the exact ratio passes it
+    state, kp, active, cond = gate_case()
+    bound = cheap_condition_bound(state, kp, active)
+    cap = np.sqrt(cond * bound)
+    assert cond * (1.0 + 1e-6) < cap < bound * (1.0 - 1e-6)
+    calls = spy_on_exact_update(monkeypatch)
+    assert_matches_dense(state, kp, active, cap)
+    assert len(calls) == 1
+
+
+def test_cap_just_below_exact_condition_raises():
+    state, kp, active, cond = gate_case()
+    with pytest.raises(SingularInnovation):
+        ekf_update(state, kp, active, max_condition=cond * (1.0 - 1e-6))
+
+
+def test_cheap_path_matches_dense_oracle(monkeypatch):
+    state, kp, active, _ = gate_case()
+    calls = spy_on_exact_update(monkeypatch)
+    assert_matches_dense(state, kp, active, 1e12)
+    assert not calls
+
+
+def test_rank_deficient_init_cov_matches_dense(monkeypatch):
+    # rows 0 and 1 coincide exactly (0.125^2 = 2^-6), so P has no Cholesky
+    # factor and the exact path runs
+    init_cov = 1e-2 * np.eye(8)
+    init_cov[:2, :2] = 2.0 ** -6
+    noise = HomographyNoiseConfig(homography_process=1e-6 * np.eye(8), init_cov=init_cov)
+    state, _ = init_state(noise=noise)
+    kp = full_kp_state(np.random.default_rng(12), state)
+    calls = spy_on_exact_update(monkeypatch)
+    assert_matches_dense(state, kp, np.arange(state.n), 1e12)
+    assert len(calls) == 1
