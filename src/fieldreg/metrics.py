@@ -6,6 +6,7 @@ distances are scored after anisotropic scaling into the 1280x720 reference
 image space, so thresholds mean the same thing at any working resolution.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,9 @@ from .geometry import (
     EPS_T,
     clip_polygon,
     convex_polygon,
+    ensure_ccw,
     invert_homography,
     normalize_homography,
-    points_in_convex_polygon,
     polygon_area,
 )
 
@@ -107,40 +108,64 @@ def iou_part(h_gt, h_pred, dims, eps=EPS_T):
     return _iou(quad_gt, quad_pred)
 
 
+def _sample_convex_polygon(vertices, n_samples, rng):
+    """(n_samples, 2) points uniform over a convex polygon, drawn directly.
+
+    The polygon is fan-triangulated from its first vertex a.  Each sample
+    draws three uniforms u, r1, r2 from rng: u picks a triangle with
+    probability equal to its share of the area (against the cumulative
+    areas), and the point is a + sqrt(r1)(1 - r2) e1 + sqrt(r1) r2 e2 for
+    that triangle's edge vectors e1, e2 from a (Turk, "Generating random
+    points in triangles", Graphics Gems, 1990).  Only element-wise
+    arithmetic, so the points are the same whatever the BLAS build or the
+    CPU's vector extensions.
+    """
+    v = ensure_ccw(vertices)
+    ax, ay = v[0]
+    e1x, e1y = (v[1:-1] - v[0]).T
+    e2x, e2y = (v[2:] - v[0]).T
+    # twice each fan triangle's area; clipping can leave a repeated vertex,
+    # whose triangle must get zero weight, not a rounding-negative one
+    cum = np.cumsum(np.maximum(e1x * e2y - e1y * e2x, 0.0))
+    u, r1, r2 = rng.random((3, n_samples))
+    tri = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+    s = np.sqrt(r1)
+    w1 = s * (1.0 - r2)
+    w2 = s * r2
+    return np.column_stack([ax + w1 * e1x[tri] + w2 * e2x[tri],
+                            ay + w1 * e1y[tri] + w2 * e2y[tri]])
+
+
 def projection_error(h_gt, h_pred, template, dims, n_samples=PROJECTION_ERROR_SAMPLES,
                      rng_seed=0, eps=EPS_T):
     """Mean re-projection disagreement on the ground, in meters.
 
-    Rejection-samples n_samples image points uniformly over the image
-    rectangle intersected with the ground-truth projection of the field
-    rectangle, maps each through both inverse homographies, and averages the
-    distance in template coordinates.
+    The visible pitch is the image rectangle intersected with the
+    ground-truth projection of the field rectangle.  n_samples image points
+    are drawn uniformly over it (_sample_convex_polygon, seeded with
+    np.random.default_rng(rng_seed)); each goes through both inverse
+    homographies, and the result is the mean distance between the two field
+    positions.  The estimate is deterministic in rng_seed; run_evaluate
+    passes its seed plus the frame index.  Raises ValueError when n_samples
+    is below 1, and DegenerateProjection when the visible pitch has no area
+    or a sample has no finite field image.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     inv_gt = invert_homography(h_gt)
     inv_pred = invert_homography(h_pred)
     field_quad = _mapped_quad(h_gt, template.corners(), eps)
     visible = clip_polygon(field_quad, dims.corners())
     if polygon_area(visible) <= 0.0:
         raise DegenerateProjection("ground-truth field projection misses the image")
-
-    rng = np.random.default_rng(rng_seed)
-    lo = visible.min(axis=0)
-    hi = visible.max(axis=0)
-    pts = np.empty((0, 2))
-    rounds = 0
-    while pts.shape[0] < n_samples:
-        rounds += 1
-        if rounds > 1000:
-            raise DegenerateProjection("rejection sampling failed to cover the visible region")
-        cand = rng.uniform(lo, hi, size=(max(4 * n_samples, 64), 2))
-        pts = np.concatenate([pts, cand[points_in_convex_polygon(cand, visible)]])
-    pts = pts[:n_samples]
+    pts = _sample_convex_polygon(visible, n_samples, np.random.default_rng(rng_seed))
 
     on_gt, t_gt = _project(inv_gt, pts)
     on_pred, t_pred = _project(inv_pred, pts)
     if np.any(np.abs(t_gt) <= eps) or np.any(np.abs(t_pred) <= eps):
         raise DegenerateProjection("sampled image point has no finite field image")
-    return float(np.mean(np.sqrt(((on_gt - on_pred) ** 2).sum(axis=1))))
+    d = on_gt - on_pred
+    return float(np.mean(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
 
 
 def reprojection_error(h_gt, h_pred, template, dims, eps=EPS_T):
@@ -161,13 +186,39 @@ def reprojection_error(h_gt, h_pred, template, dims, eps=EPS_T):
     return float(dist.mean() / h)
 
 
-def _match_by_id(est_ids, est_xy, gt_ids, gt_xy):
-    est = {int(i): p for i, p in zip(np.asarray(est_ids, int), np.atleast_2d(est_xy))}
-    gt = {int(i): p for i, p in zip(np.asarray(gt_ids, int), np.atleast_2d(gt_xy))}
-    if len(est) != len(np.atleast_1d(est_ids)) or len(gt) != len(np.atleast_1d(gt_ids)):
+@functools.lru_cache(maxsize=1)
+def _common_rows(est_key, gt_key):
+    # Row indices, on each side, of the ids present on both, in ascending id
+    # order.  Keyed by the ids' int64 bytes and remembering the last match,
+    # so the four keypoint metrics of one frame, called with the same ids,
+    # match them once.  Every caller gets the same arrays: read-only.
+    est = np.frombuffer(est_key, dtype=np.int64).tolist()
+    gt = np.frombuffer(gt_key, dtype=np.int64).tolist()
+    est_row = {k: i for i, k in enumerate(est)}
+    gt_row = {k: i for i, k in enumerate(gt)}
+    if len(est_row) != len(est) or len(gt_row) != len(gt):
         raise ValueError("duplicate keypoint ids")
-    common = sorted(est.keys() & gt.keys())
-    return est, gt, common
+    common = sorted(est_row.keys() & gt_row.keys())
+    rows = (np.array([est_row[k] for k in common], dtype=np.intp),
+            np.array([gt_row[k] for k in common], dtype=np.intp))
+    for r in rows:
+        r.flags.writeable = False
+    return rows
+
+
+def _match_by_id(est_ids, est_xy, gt_ids, gt_xy):
+    """Positions of the ids present on both sides, as two (L, 2) arrays in
+    ascending id order, and the two sides' keypoint counts.  Raises
+    ValueError on a repeated id or a position count that differs from the
+    id count."""
+    est_ids = np.atleast_1d(np.asarray(est_ids, dtype=np.int64))
+    gt_ids = np.atleast_1d(np.asarray(gt_ids, dtype=np.int64))
+    est_xy = np.asarray(est_xy).reshape(-1, 2)
+    gt_xy = np.asarray(gt_xy).reshape(-1, 2)
+    if est_xy.shape[0] != est_ids.size or gt_xy.shape[0] != gt_ids.size:
+        raise ValueError("keypoint ids and positions differ in count")
+    est_rows, gt_rows = _common_rows(est_ids.tobytes(), gt_ids.tobytes())
+    return est_xy[est_rows], gt_xy[gt_rows], est_ids.size, gt_ids.size
 
 
 def nrmse(est_ids, est_xy, gt_ids, gt_xy, dims, axis="x"):
@@ -179,25 +230,21 @@ def nrmse(est_ids, est_xy, gt_ids, gt_xy, dims, axis="x"):
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    est, gt, common = _match_by_id(est_ids, est_xy, gt_ids, gt_xy)
-    if not common:
+    est, gt, _, _ = _match_by_id(est_ids, est_xy, gt_ids, gt_xy)
+    if not est.shape[0]:
         raise NoMatchedKeypoints("no keypoint id present in both estimate and ground truth")
     a = 0 if axis == "x" else 1
     z = float(dims.width_px if axis == "x" else dims.height_px)
-    diffs = np.array([est[i][a] - gt[i][a] for i in common])
-    return float(np.sqrt((diffs ** 2).sum()) / (z * np.sqrt(len(common))))
+    diffs = est[:, a] - gt[:, a]
+    return float(np.sqrt((diffs ** 2).sum()) / (z * np.sqrt(est.shape[0])))
 
 
 def _reference_scaled_distances(det_ids, det_xy, gt_ids, gt_xy, dims):
     sx = REFERENCE_WIDTH_PX / float(dims.width_px)
     sy = REFERENCE_HEIGHT_PX / float(dims.height_px)
-    det, gt, common = _match_by_id(det_ids, det_xy, gt_ids, gt_xy)
-    if common:
-        d = np.array([det[i] - gt[i] for i in common]) * np.array([sx, sy])
-        dists = np.sqrt((d ** 2).sum(axis=1))
-    else:
-        dists = np.empty(0)
-    return dists, len(det), len(gt)
+    det, gt, n_det, n_gt = _match_by_id(det_ids, det_xy, gt_ids, gt_xy)
+    d = (det - gt) * np.array([sx, sy])
+    return np.sqrt((d ** 2).sum(axis=1)), n_det, n_gt
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,10 @@ class FilterOptions:
             raise ValueError(f"motion_source must be one of {MOTION_SOURCES}")
         if self.ekf_active_set not in ("measured_now", "measured_ever"):
             raise ValueError("ekf_active_set must be 'measured_now' or 'measured_ever'")
+        # a condition number is never below 1: a smaller cap, or NaN, would
+        # skip every homography update
+        if not self.max_condition >= 1.0:
+            raise ValueError(f"max_condition must be at least 1, got {self.max_condition}")
 
 
 @dataclass(frozen=True)
@@ -281,8 +285,10 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
     projective region are flagged degenerate and likewise excluded.
     Aggregates carry mean and median per metric over the scored frames; the
     average_precision mean is the mAP.  Raises FrameMismatch when the two
-    frame sets differ.
+    frame sets differ, and ValueError when projection_samples is below 1.
     """
+    if projection_samples < 1:
+        raise ValueError(f"projection_samples must be at least 1, got {projection_samples}")
     preds = {p.frame_index: p for p in predictions}
     truths = {t.frame_index: t for t in truth_frames}
     if set(preds) != set(truths):

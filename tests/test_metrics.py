@@ -11,7 +11,15 @@ import pytest
 import fieldreg
 from fieldreg.errors import DegenerateProjection, NoMatchedKeypoints, NoSamples
 from fieldreg.field import ImageDims
+from fieldreg.geometry import (
+    clip_polygon,
+    dlt_homography,
+    points_in_convex_polygon,
+    polygon_area,
+)
 from fieldreg.metrics import (
+    _mapped_quad,
+    _sample_convex_polygon,
     average_precision,
     iou_entire,
     iou_entire_image,
@@ -141,6 +149,91 @@ def test_projection_error_zero_for_equal_maps():
                             n_samples=200) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_projection_error_rejects_nonpositive_sample_counts():
+    h_gt = view_homography()
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_samples"):
+            projection_error(h_gt, h_gt.copy(), TEMPLATE, DIMS, n_samples=n)
+
+
+# Rolled broadcast view: the field quad runs off three image edges and
+# covers two image corners, so the visible pitch is a 7-gon.
+TILTED_VIEW = dlt_homography(TEMPLATE.corners(), np.array(
+    [[150.0, 90.0], [1450.0, -60.0], [1350.0, 860.0], [-200.0, 640.0]]))
+TILTED_VISIBLE = clip_polygon(_mapped_quad(TILTED_VIEW, TEMPLATE.corners()), DIMS.corners())
+
+
+def test_polygon_sampler_count_containment_and_seed():
+    assert TILTED_VISIBLE.shape == (7, 2)
+    # clockwise input exercises the winding fix-up
+    poly = TILTED_VISIBLE[::-1]
+    pts = _sample_convex_polygon(poly, 3000, np.random.default_rng(11))
+    assert pts.shape == (3000, 2)
+    assert points_in_convex_polygon(pts, poly).all()
+    again = _sample_convex_polygon(poly, 3000, np.random.default_rng(11))
+    assert np.array_equal(pts, again)
+    other = _sample_convex_polygon(poly, 3000, np.random.default_rng(12))
+    assert not np.array_equal(pts, other)
+
+
+def test_polygon_sampler_triangle_shares_follow_area():
+    # irregular hexagon whose fan triangles differ in area by up to 4.7x
+    poly = np.array([[0.0, 0.0], [400.0, -50.0], [900.0, 100.0], [1000.0, 500.0],
+                     [600.0, 700.0], [100.0, 450.0]])
+    n = 40000
+    pts = _sample_convex_polygon(poly, n, np.random.default_rng(3))
+    tris = [poly[[0, k, k + 1]] for k in range(1, poly.shape[0] - 1)]
+    areas = np.array([polygon_area(t) for t in tris])
+    share = areas / areas.sum()
+    counts = np.array([points_in_convex_polygon(pts, t).sum() for t in tris])
+    assert counts.sum() == n
+    sd = np.sqrt(n * share * (1.0 - share))
+    assert np.all(np.abs(counts - n * share) <= 5.0 * sd), (counts, n * share)
+
+
+def test_projection_error_sliver_translation_oracle():
+    # The field is squeezed into a 0.05 px strip along the image diagonal:
+    # the visible region fills under 1e-4 of its bounding box, where a
+    # bounding-box rejection sampler keeps about 1 candidate in 12,500.
+    d = np.array([1280.0, 720.0]) / np.hypot(1280.0, 720.0)
+    lin = np.column_stack([2000.0 / 105.0 * d, 0.05 / 68.0 * np.array([-d[1], d[0]])])
+    h_gt = np.eye(3)
+    h_gt[:2, :2] = lin
+    h_gt[:2, 2] = np.array([640.0, 360.0]) - lin @ np.array([52.5, 34.0])
+    visible = clip_polygon(_mapped_quad(h_gt, TEMPLATE.corners()), DIMS.corners())
+    box = visible.max(axis=0) - visible.min(axis=0)
+    assert polygon_area(visible) < 1e-4 * box[0] * box[1]
+    for dx, dy in ((0.5, 0.0), (0.3, -0.4)):
+        h_pred = h_gt @ field_translation(dx, dy)
+        got = projection_error(h_gt, h_pred, TEMPLATE, DIMS, n_samples=500, rng_seed=1)
+        assert got == pytest.approx(np.hypot(dx, dy), abs=1e-9)
+
+
+def test_projection_error_matches_quadrature():
+    # A biased sampler shows here: the estimate must agree with a 400 x 400
+    # midpoint quadrature of the same average over the visible pitch within
+    # 5 Monte Carlo standard errors.  The grid's own error is about 1e-5 m,
+    # under 1/500 of the tolerance.
+    h_gt = TILTED_VIEW
+    h_pred = h_gt @ np.array([[1.01, 0.002, 0.4], [-0.003, 0.99, -0.8],
+                              [1e-5, -2e-5, 1.0]])
+    lo, hi = TILTED_VISIBLE.min(axis=0), TILTED_VISIBLE.max(axis=0)
+    g = (np.arange(400) + 0.5) / 400
+    gx, gy = np.meshgrid(lo[0] + g * (hi[0] - lo[0]), lo[1] + g * (hi[1] - lo[1]))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    grid = grid[points_in_convex_polygon(grid, TILTED_VISIBLE)]
+    homog = np.column_stack([grid, np.ones(len(grid))])
+
+    def ground(h):
+        q = homog @ np.linalg.inv(h).T
+        return q[:, :2] / q[:, 2:]
+
+    dist = np.hypot(*(ground(h_gt) - ground(h_pred)).T)
+    n = 20000
+    got = projection_error(h_gt, h_pred, TEMPLATE, DIMS, n_samples=n, rng_seed=4)
+    assert abs(got - dist.mean()) <= 5.0 * dist.std() / np.sqrt(n)
+
+
 def test_reprojection_error_translation_oracle():
     h_gt = view_homography()
     a, b = 3.0, 4.0
@@ -250,14 +343,20 @@ def test_mean_average_precision():
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
-def test_report_bytes_do_not_depend_on_blas_kernels(tmp_path, coretype):
-    # OpenBLAS picks its kernels for the CPU at load time; forcing an older
-    # core type in a fresh process must not move a bit of the report.  Builds
-    # without dynamic dispatch ignore the variable and compare as usual.
+@pytest.mark.parametrize("kernel_env", [
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+], ids=["Prescott", "Haswell", "numpy-no-AVX2"])
+def test_report_bytes_do_not_depend_on_blas_kernels(tmp_path, kernel_env):
+    # OpenBLAS picks its kernels for the CPU at load time, and NumPy picks
+    # SIMD loops for sqrt, cumsum and searchsorted; forcing an older core
+    # type, or NumPy's pre-AVX2 baseline, in a fresh process must not move a
+    # bit of the report.  Builds without dynamic dispatch ignore the variable
+    # and compare as usual.
     src = str(pathlib.Path(fieldreg.__file__).resolve().parent.parent)
     path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+    env = dict(os.environ, **kernel_env,
                PYTHONPATH=os.pathsep.join(p for p in path if p))
     rep = tmp_path / "report.json"
     proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Pipeline orchestration, file formats, and the CLI front end."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -450,6 +451,40 @@ def test_cli_error_paths(tmp_path):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("[]")
     assert cli_main(["simulate", "--output", out, "--config", str(bad_cfg)]) == 1
+
+
+@pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
+def test_filter_options_reject_condition_caps_below_one(cap):
+    # a cap that no condition number can meet would skip every update
+    with pytest.raises(ValueError, match="max_condition"):
+        FilterOptions(max_condition=cap)
+
+
+def test_filter_options_accept_condition_caps_from_one_to_inf():
+    for cap in (1.0, 1e12, float("inf")):
+        assert FilterOptions(max_condition=cap).max_condition == cap
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("cap", ["nan", "0", "-1"])
+def test_cli_filter_rejects_bad_max_condition(tmp_path, capsys, cap):
+    out = tmp_path / "est.jsonl"
+    assert cli_main(["filter", "--input", str(GOLDEN / "golden_sequence.jsonl"),
+                     "--max-condition", cap, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: max_condition")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_evaluate_rejects_nonpositive_projection_samples(tmp_path, capsys, n):
+    out = tmp_path / "report.json"
+    assert cli_main(["evaluate", "--input", str(GOLDEN / "golden_estimates.jsonl"),
+                     "--truth", str(GOLDEN / "golden_sequence.jsonl"),
+                     "--projection-samples", n, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: projection_samples")
+    assert not out.exists()
 
 
 def test_cli_module_entry(tmp_path):
