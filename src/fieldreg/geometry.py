@@ -191,6 +191,24 @@ class RansacParams:
     seed: int = 0
     confidence: float = RANSAC_CONFIDENCE
 
+    def __post_init__(self):
+        check_threshold("inlier_threshold_px", self.inlier_threshold_px)
+        check_iters("max_iters", self.max_iters)
+        # the adaptive stop takes log(1 - confidence)
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(f"confidence must be strictly between 0 and 1, got {self.confidence}")
+
+
+def check_threshold(name, value):
+    # NaN would count no inliers, and a negative value acts as its magnitude once squared
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite number above 0, got {value}")
+
+
+def check_iters(name, value):
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 def _minimal_homographies(src4, dst4):
     """Batched exact 4-point homography fits with h33 pinned to 1.

@@ -7,6 +7,11 @@ product A H, whose last-row structure leaves (h31, h32) bitwise unchanged.
 The update step treats the first-stage filter's posterior keypoint means as
 the measurement and its posterior covariance sub-block as the measurement
 noise, so the two stages stay probabilistically coupled.
+
+Under a static field (no field process) the field points are exact: their
+covariance rows are zero at every step, so the state stores only the 8x8
+homography covariance.  A field process makes every row live, and the state
+then carries the joint (2N + 8)-square covariance.
 """
 
 from dataclasses import dataclass, replace
@@ -82,9 +87,19 @@ class HomographyNoiseConfig:
 
 @dataclass(frozen=True)
 class HomographyFilterState:
+    """Field points, homography parameters and their covariance.
+
+    cov is the (8, 8) homography covariance under a static field, where the
+    field points carry no uncertainty and no correlation with h; under a
+    field process it is the joint (2N + 8)-square covariance of
+    (field, h), in stacked_mean order.  ekf_init picks the layout from the
+    noise, and ekf_predict widens a compact state on its first step under a
+    field process.
+    """
+
     field_mean: np.ndarray  # (2N,) template coordinates, meters
     h_mean: np.ndarray      # (8,) column-stacked homography parameters
-    cov: np.ndarray         # (2N + 8, 2N + 8)
+    cov: np.ndarray         # (8, 8), or (2N + 8, 2N + 8) under a field process
 
     def __post_init__(self):
         fm = np.asarray(self.field_mean, dtype=float)
@@ -94,13 +109,19 @@ class HomographyFilterState:
         object.__setattr__(self, "h_mean", hm)
         object.__setattr__(self, "cov", cov)
         d = fm.shape[0] + 8
-        if fm.ndim != 1 or fm.shape[0] % 2 or hm.shape != (8,) or cov.shape != (d, d):
+        if (fm.ndim != 1 or fm.shape[0] % 2 or hm.shape != (8,)
+                or cov.shape not in ((8, 8), (d, d))):
             raise DimensionMismatch(
                 f"inconsistent state shapes: field {fm.shape}, h {hm.shape}, cov {cov.shape}")
 
     @property
     def n(self):
         return self.field_mean.shape[0] // 2
+
+    @property
+    def joint(self):
+        """True when cov covers the field points as well as h."""
+        return self.cov.shape[0] != 8
 
     def stacked_mean(self):
         return np.concatenate([self.field_mean, self.h_mean])
@@ -118,9 +139,11 @@ def ekf_init(frame, template, noise, ransac=RansacParams()):
     """Initialize from one frame: robust homography fit against the template.
 
     frame.ids are canonical template indices; needs >= 4 observations.  The
-    field part of the state starts at the template positions with the
-    configured (default zero) field covariance; the homography part at the
-    RANSAC estimate with the configured init covariance.
+    field part of the state starts at the template positions; the homography
+    part at the RANSAC estimate with the configured init covariance.  The
+    covariance is that 8x8 matrix under a static field, and the joint one,
+    with the field process blocks on its field diagonal, under a field
+    process.
 
     Raises InsufficientPoints and DegenerateConfiguration (which also covers
     a failed RANSAC consensus).
@@ -140,9 +163,13 @@ def ekf_init(frame, template, noise, ransac=RansacParams()):
         raise DegenerateConfiguration(f"no RANSAC consensus at init: {e}") from e
 
     n = template.n
-    cov = np.zeros((2 * n + 8, 2 * n + 8))
-    _add_field_process(cov, noise)
-    cov[2 * n:, 2 * n:] = noise.init_cov
+    fb = noise.field_blocks(n)
+    if fb is None:
+        cov = noise.init_cov.copy()
+    else:
+        cov = np.zeros((2 * n + 8, 2 * n + 8))
+        _add_diagonal_blocks(cov, fb)
+        cov[2 * n:, 2 * n:] = noise.init_cov
     return HomographyFilterState(
         field_mean=template.positions.ravel().copy(),
         h_mean=homography_params(H0),
@@ -155,12 +182,6 @@ def _add_diagonal_blocks(square, blocks):
     k = blocks.shape[0]
     j = np.arange(k)
     square[:2 * k, :2 * k].reshape(k, 2, k, 2)[j, :, j, :] += blocks
-
-
-def _add_field_process(cov, noise):
-    fb = noise.field_blocks((cov.shape[0] - 8) // 2)
-    if fb is not None:
-        _add_diagonal_blocks(cov, fb)
 
 
 def _transition_matrix(motion):
@@ -178,23 +199,36 @@ def ekf_predict(state, motion, noise):
 
     The homography mean is computed as the literal 3x3 product, so the
     predicted (h31, h32) equal their priors bitwise (A's last row is exactly
-    (0, 0, 1)).  The covariance goes through blockdiag(I, F), with F the 8x8
-    transition, by transforming only the 8 homography rows and columns; then
-    the process noise is added.  Only those rows and columns can lose
-    symmetry, so only they are symmetrized.
+    (0, 0, 1)).  The homography covariance becomes F P F^T + Q, with F the
+    8x8 transition, and is symmetrized.  A joint covariance goes through
+    blockdiag(I, F) by transforming only its 8 homography rows and columns,
+    and gains the field process on its field blocks; only the homography
+    rows and columns can lose symmetry, so only they are symmetrized.  A
+    compact state predicted under a field process is widened first.
     """
     if not isinstance(motion, AffineSimilarity):
         raise TypeError(f"motion must be an AffineSimilarity, got {type(motion)!r}")
     n = state.n
     H_new = motion.as_matrix() @ reconstruct_homography(state)
     h_mean = homography_params(H_new)
-
     F = _transition_matrix(motion)
+    fb = noise.field_blocks(n)
+
+    if fb is None and not state.joint:
+        cov = F @ state.cov @ F.T
+        cov += noise.homography_process
+        return replace(state, h_mean=h_mean, cov=0.5 * (cov + cov.T))
+
     h = slice(2 * n, 2 * n + 8)
-    cov = state.cov.copy()
+    if state.joint:
+        cov = state.cov.copy()
+    else:
+        cov = np.zeros((2 * n + 8, 2 * n + 8))
+        cov[h, h] = state.cov
     cov[h] = F @ cov[h]
     cov[:, h] = cov[:, h] @ F.T
-    _add_field_process(cov, noise)
+    if fb is not None:
+        _add_diagonal_blocks(cov, fb)
     cov[h, h] += noise.homography_process
     sym = 0.5 * (cov[h] + cov[:, h].T)
     cov[h] = sym
@@ -203,15 +237,16 @@ def ekf_predict(state, motion, noise):
 
 
 def _projection_terms(state, active_idx, eps):
+    """X, Y, D (K,) and the projections uv (2, K) of the active keypoints."""
     h = state.h_mean
     pts = state.field_points()[active_idx]
     X, Y = pts[:, 0], pts[:, 1]
     D = h[2] * X + h[5] * Y + 1.0
     if np.any(np.abs(D) <= eps):
         raise NumericalDegeneracy("projective denominator vanished at a field keypoint")
-    u = (h[0] * X + h[3] * Y + h[6]) / D
-    v = (h[1] * X + h[4] * Y + h[7]) / D
-    return X, Y, D, u, v
+    # rows (h11, h21), (h12, h22), (h13, h23): u and v in one pass
+    uv = (h[0:2, None] * X + h[3:5, None] * Y + h[6:8, None]) / D
+    return X, Y, D, uv
 
 
 def _check_active(active_idx, n):
@@ -223,37 +258,33 @@ def predict_measurements(state, active_idx, eps=EPS_T):
     """Projected pixel positions (K, 2) of the active field keypoints."""
     active_idx = np.asarray(active_idx, dtype=int)
     _check_active(active_idx, state.n)
-    _, _, _, u, v = _projection_terms(state, active_idx, eps)
-    return np.stack([u, v], axis=1)
+    return _projection_terms(state, active_idx, eps)[3].T.copy()
 
 
-def _jacobian_terms(state, active_idx, eps):
+def _jacobian_terms(state, active_idx, eps, field=True):
     """Projections (K, 2), homography columns (2K, 8) and field blocks (K, 2, 2).
 
     One pass over the active keypoints gives everything the update needs;
-    measurement_jacobian spreads the same numbers over the full state.
+    measurement_jacobian spreads the same numbers over the full state.  The
+    field blocks are None unless field is true.
     """
     h = state.h_mean
-    X, Y, D, u, v = _projection_terms(state, active_idx, eps)
+    X, Y, D, uv = _projection_terms(state, active_idx, eps)
     k = active_idx.size
-    Jf = np.empty((k, 2, 2))
-    Jf[:, 0, 0] = (h[0] - u * h[2]) / D
-    Jf[:, 0, 1] = (h[3] - u * h[5]) / D
-    Jf[:, 1, 0] = (h[1] - v * h[2]) / D
-    Jf[:, 1, 1] = (h[4] - v * h[5]) / D
+    Jf = None
+    if field:
+        Jf = np.empty((k, 2, 2))
+        Jf[:, :, 0] = ((h[0:2, None] - uv * h[2]) / D).T
+        Jf[:, :, 1] = ((h[3:5, None] - uv * h[5]) / D).T
 
-    Jh = np.zeros((2 * k, 8))
-    Jh[0::2, 0] = X / D
-    Jh[0::2, 2] = -u * X / D
-    Jh[0::2, 3] = Y / D
-    Jh[0::2, 5] = -u * Y / D
-    Jh[0::2, 6] = 1.0 / D
-    Jh[1::2, 1] = X / D
-    Jh[1::2, 2] = -v * X / D
-    Jh[1::2, 4] = Y / D
-    Jh[1::2, 5] = -v * Y / D
-    Jh[1::2, 7] = 1.0 / D
-    return np.stack([u, v], axis=1), Jh, Jf
+    # row pairs (u, v) per keypoint; columns follow measurement_jacobian
+    Jh = np.zeros((k, 2, 8))
+    Jh[:, 0, 0] = Jh[:, 1, 1] = X / D
+    Jh[:, 0, 3] = Jh[:, 1, 4] = Y / D
+    Jh[:, 0, 6] = Jh[:, 1, 7] = 1.0 / D
+    Jh[:, :, 2] = (-uv * X / D).T
+    Jh[:, :, 5] = (-uv * Y / D).T
+    return uv.T, Jh.reshape(2 * k, 8), Jf
 
 
 def _full_jacobian(n, active_idx, Jh, Jf):
@@ -343,8 +374,8 @@ def _information_update(P, J, R_blocks, nu, max_condition):
         return None
     Y = np.linalg.solve(L_T, np.column_stack([C.T, M[:L, L]]))
     Bt = Y[:, :-1]                      # B^T = L_T^-1 C^T
-    cov_live = Bt.T @ Bt
-    return Bt.T @ Y[:, -1], 0.5 * (cov_live + cov_live.T)
+    cov = Bt.T @ Bt
+    return Bt.T @ Y[:, -1], 0.5 * (cov + cov.T)
 
 
 def _exact_update(P, J, R_blocks, nu, max_condition):
@@ -369,35 +400,34 @@ def _exact_update(P, J, R_blocks, nu, max_condition):
 
     K = np.linalg.solve(S, JP).T
     A = np.eye(P.shape[0]) - K @ J
-    cov_live = A @ P @ A.T + K @ R @ K.T
-    return K @ nu, 0.5 * (cov_live + cov_live.T)
+    cov = A @ P @ A.T + K @ R @ K.T
+    return K @ nu, 0.5 * (cov + cov.T)
 
 
 def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITION,
                eps=EPS_T):
-    """Correct the joint state against the first-stage posterior.
+    """Correct the state against the first-stage posterior.
 
     The measurement for each active keypoint is the first-stage filter's
     posterior mean, with that filter's posterior covariance block as the
     measurement noise.  An empty active set returns the state unchanged
     (pure-predict frame).
 
-    The algebra runs over the live state indices only: the rows of the
-    covariance that are not identically zero.  A dead row gets a zero gain
-    and stays zero, so this is exact.  With a static field (no field
-    process) only the 8 homography rows are live; with a field process
-    every row is.
+    A compact state (static field) is corrected through the 2K x 8
+    homography Jacobian alone: its field points are exact, so they get a
+    zero gain and stay put.  A joint state uses the full 2K x (2N + 8)
+    Jacobian and corrects the field points too.
 
-    The update runs in information form, in the live dimension L rather
-    than in the 2K of the measurement: P+ = (P^-1 + J^T R^-1 J)^-1 through
-    the Cholesky factors of P and of I + C^T J^T R^-1 J C, which is
-    symmetric positive semidefinite by construction.  The condition gate is
-    certified without forming S = J P J^T + R: Weyl's inequality bounds its
-    extreme eigenvalues from the closed-form 2x2 eigenvalues of R and
-    tr(J P J^T).  When the bound does not certify the gate (or an R block is
-    not positive definite, an entry is not finite, or P has no Cholesky
-    factor), the exact path runs instead: S, its eigvalsh gate and a
-    Joseph-form update.  Either way an update is skipped exactly when the
+    The update runs in information form, in the state dimension L (8 when
+    compact) rather than in the 2K of the measurement: P+ = (P^-1 + J^T
+    R^-1 J)^-1 through the Cholesky factors of P and of I + C^T J^T R^-1 J C,
+    which is symmetric positive semidefinite by construction.  The condition
+    gate is certified without forming S = J P J^T + R: Weyl's inequality
+    bounds its extreme eigenvalues from the closed-form 2x2 eigenvalues of R
+    and tr(J P J^T).  When the bound does not certify the gate (or an R
+    block is not positive definite, an entry is not finite, or P has no
+    Cholesky factor), the exact path runs instead: S, its eigvalsh gate and
+    a Joseph-form update.  Either way an update is skipped exactly when the
     eigenvalue ratio of S exceeds max_condition.
 
     Raises SingularInnovation when the innovation covariance is not finite,
@@ -415,23 +445,16 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     if not np.all(kp_state.measured_ever[active_idx]):
         raise ValueError("active keypoint was never measured; it has no estimate to fuse")
 
-    pred, Jh, Jf = _jacobian_terms(state, active_idx, eps)
+    pred, Jh, Jf = _jacobian_terms(state, active_idx, eps, field=state.joint)
     nu = (kp_state.keypoint_means()[active_idx] - pred).ravel()
     R_blocks = kp_state.cov[active_idx]
-    live = np.flatnonzero(state.cov.any(axis=1))
-    live_block = np.ix_(live, live)
-    P = state.cov[live_block]
-    if live.size and live[0] < 2 * n:   # field rows are live too
-        J = _full_jacobian(n, active_idx, Jh, Jf)[:, live]
-    else:
-        J = Jh[:, live - 2 * n]
+    J = _full_jacobian(n, active_idx, Jh, Jf) if state.joint else Jh
 
-    update = _information_update(P, J, R_blocks, nu, max_condition)
+    update = _information_update(state.cov, J, R_blocks, nu, max_condition)
     if update is None:
-        update = _exact_update(P, J, R_blocks, nu, max_condition)
-    dx, cov_live = update
-    mean = state.stacked_mean()
-    mean[live] += dx
-    cov = np.zeros_like(state.cov)
-    cov[live_block] = cov_live
+        update = _exact_update(state.cov, J, R_blocks, nu, max_condition)
+    dx, cov = update
+    if not state.joint:
+        return replace(state, h_mean=state.h_mean + dx, cov=cov)
+    mean = state.stacked_mean() + dx
     return HomographyFilterState(field_mean=mean[:2 * n], h_mean=mean[2 * n:], cov=cov)

@@ -5,6 +5,7 @@ lets it commute with homogeneous normalization and drive the homography
 recursion H_t = A_t H_{t-1} without re-projection error.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from .errors import DegenerateConfiguration, InsufficientPoints, NoConsensus
 
 MAD_MULTIPLIER = 3.0
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -93,12 +95,42 @@ class AffineSimilarity:
         return np.array([self.a, self.b, self.tx, self.ty])
 
 
-def fit_similarity(prev_pts, curr_pts):
-    """Least-squares AffineSimilarity mapping prev_pts onto curr_pts.
+def _from_centred_sums(m, q, dot, cross, pm, cm):
+    """(a, b, tx, ty) from the centred sums of M pairs, or None if degenerate:
+    the source points do not determine a similarity, or the fit has zero scale.
 
-    Linear in (a, b, tx, ty); needs >= 2 pairs and at least 2 distinct source
-    points.  Raises InsufficientPoints / DegenerateConfiguration.
+    With p' = p - mean(p) and c' = c - mean(c), q = sum |p'|^2, dot =
+    sum p'.c' and cross = sum p' x c', the least-squares similarity is
+    a = dot / q, b = cross / q and t = mean(c) - [[a, -b], [b, a]] mean(p)
+    (Umeyama, IEEE TPAMI 1991, without the scale constraint).
+
+    The degeneracy test is the rank test of the stacked least-squares system
+    [x -y 1 0; y x 0 1] [a b tx ty]^T = [x' y'], as a 2M x 4 solve with the
+    default cut-off of eps * 2M would apply it.  That system's squared
+    singular values are the double roots of (S2 - l)(M - l) = M^2 |mean(p)|^2,
+    S2 = sum |p|^2, so sigma_min / sigma_max = sqrt(M q) / l_max.
     """
+    pmx, pmy = pm
+    pm2 = pmx * pmx + pmy * pmy
+    s2 = q + m * pm2
+    l_max = 0.5 * (s2 + m + math.sqrt((s2 - m) ** 2 + 4.0 * m * m * pm2))
+    if not math.sqrt(m * q) > 2 * m * _EPS * l_max:
+        return None
+    a = dot / q
+    b = cross / q
+    if a * a + b * b <= 0.0:
+        return None
+    return a, b, cm[0] - (a * pmx - b * pmy), cm[1] - (b * pmx + a * pmy)
+
+
+def _similarity(params):
+    if params is None:
+        raise DegenerateConfiguration(
+            "source points do not determine a similarity, or the fit has zero scale")
+    return AffineSimilarity(*params)
+
+
+def _check_pairs(prev_pts, curr_pts):
     prev_pts = np.asarray(prev_pts, dtype=float)
     curr_pts = np.asarray(curr_pts, dtype=float)
     if prev_pts.ndim != 2 or prev_pts.shape[1] != 2 or prev_pts.shape != curr_pts.shape:
@@ -107,23 +139,55 @@ def fit_similarity(prev_pts, curr_pts):
     m = prev_pts.shape[0]
     if m < 2:
         raise InsufficientPoints(f"need at least 2 pairs, got {m}")
+    return prev_pts, curr_pts
 
-    A = np.zeros((2 * m, 4))
-    px, py = prev_pts[:, 0], prev_pts[:, 1]
-    A[0::2, 0] = px
-    A[0::2, 1] = -py
-    A[0::2, 2] = 1.0
-    A[1::2, 0] = py
-    A[1::2, 1] = px
-    A[1::2, 3] = 1.0
-    rhs = curr_pts.ravel()
-    sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < 4:
-        raise DegenerateConfiguration("source points do not determine a similarity")
-    a, b, tx, ty = sol
-    if a * a + b * b <= 0.0:
-        raise DegenerateConfiguration("fit collapsed to zero scale")
-    return AffineSimilarity(float(a), float(b), float(tx), float(ty))
+
+def _fit(pc):
+    """Least-squares similarity parameters over the (M, 4) rows (x, y, x', y'), or None."""
+    m = pc.shape[0]
+    mean = pc.sum(axis=0) / m
+    d = pc - mean
+    (sxx, sxy, sxu, sxv), (_, syy, syu, syv), _, _ = (d.T @ d).tolist()
+    mx, my, mu, mv = mean.tolist()
+    return _from_centred_sums(m, sxx + syy, sxu + syv, sxv - syu, (mx, my), (mu, mv))
+
+
+def _fit_pair(r1, r2):
+    """_fit over two rows (x, y, x', y'), in scalar arithmetic."""
+    x1, y1, u1, v1 = r1
+    x2, y2, u2, v2 = r2
+    dx, dy, ex, ey = x2 - x1, y2 - y1, u2 - u1, v2 - v1
+    # centred on the midpoints, each sum is half of its difference form
+    return _from_centred_sums(
+        2, 0.5 * (dx * dx + dy * dy), 0.5 * (dx * ex + dy * ey), 0.5 * (dx * ey - dy * ex),
+        (0.5 * (x1 + x2), 0.5 * (y1 + y2)), (0.5 * (u1 + u2), 0.5 * (v1 + v2)))
+
+
+def fit_similarity(prev_pts, curr_pts):
+    """Least-squares AffineSimilarity mapping prev_pts onto curr_pts.
+
+    Closed form from centred sums; needs >= 2 pairs and at least 2 distinct
+    source points.  Raises InsufficientPoints / DegenerateConfiguration.
+    """
+    prev_pts, curr_pts = _check_pairs(prev_pts, curr_pts)
+    return _similarity(_fit(np.concatenate([prev_pts, curr_pts], axis=1)))
+
+
+def _median(x):
+    """np.median(x, axis=0), bit for bit, for finite x."""
+    h = x.shape[0] // 2
+    if x.shape[0] % 2:
+        return np.partition(x, h, axis=0)[h]
+    s = np.partition(x, (h - 1, h), axis=0)
+    return (s[h - 1] + s[h]) / 2.0
+
+
+def _residuals(params, p1, c):
+    """Distances |A(p) - c| per pair, with p1 the (M, 3) rows (x, y, 1)."""
+    a, b, tx, ty = params
+    d = p1 @ np.array([[a, b], [-b, a], [tx, ty]]) - c
+    d *= d
+    return np.sqrt(d[:, 0] + d[:, 1])
 
 
 def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iters=500,
@@ -134,29 +198,27 @@ def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iter
     displacement than mad_multiplier times the median absolute deviation;
     (ii) RANSAC over 2-point similarity hypotheses with a final least-squares
     refit over the consensus.  Returns (AffineSimilarity, inlier_mask) with
-    the mask in input order (MAD-discarded pairs are False).
+    the mask in input order (MAD-discarded pairs are False).  Every fit is
+    the closed form from centred sums.
 
     The pairs are sorted canonically before sampling, so the result does not
-    depend on input order for a fixed seed.  Raises InsufficientPoints and
-    NoConsensus (callers typically fall back to identity and flag the frame).
+    depend on input order for a fixed seed.  Raises ValueError on non-finite
+    points, InsufficientPoints and NoConsensus (callers typically fall back
+    to identity and flag the frame).
     """
-    prev_pts = np.asarray(prev_pts, dtype=float)
-    curr_pts = np.asarray(curr_pts, dtype=float)
-    if prev_pts.ndim != 2 or prev_pts.shape[1] != 2 or prev_pts.shape != curr_pts.shape:
-        raise ValueError(
-            f"need matching (M, 2) arrays, got {prev_pts.shape} and {curr_pts.shape}")
+    prev_pts, curr_pts = _check_pairs(prev_pts, curr_pts)
+    if not (np.isfinite(prev_pts).all() and np.isfinite(curr_pts).all()):
+        raise ValueError("non-finite point coordinates")
     n = prev_pts.shape[0]
-    if n < 2:
-        raise InsufficientPoints(f"need at least 2 pairs, got {n}")
 
     order = np.lexsort((curr_pts[:, 1], curr_pts[:, 0], prev_pts[:, 1], prev_pts[:, 0]))
     p = prev_pts[order]
     c = curr_pts[order]
 
     disp = c - p
-    med = np.median(disp, axis=0)
+    med = _median(disp)
     r = np.sqrt(((disp - med) ** 2).sum(axis=1))
-    thresh = mad_multiplier * np.median(r)
+    thresh = mad_multiplier * _median(r)
     if thresh <= 0.0:
         thresh = 1e-9  # all displacements identical up to noise below any MAD
     keep = r <= thresh
@@ -165,7 +227,9 @@ def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iter
         kept_idx = np.arange(n)
         keep = np.ones(n, dtype=bool)
 
-    kp, kc = p[kept_idx], c[kept_idx]
+    pc = np.concatenate([p, c], axis=1)
+    p1 = np.column_stack([p, np.ones(n)])
+    kpc, kp1, kc = pc[kept_idx], p1[kept_idx], c[kept_idx]
     mk = kept_idx.size
     rng = np.random.Generator(np.random.Philox(rng_seed))
     best_count = 0
@@ -175,14 +239,13 @@ def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iter
     while it < min(max_iters, needed):
         it += 1
         i, j = rng.choice(mk, size=2, replace=False)
-        if np.all(kp[i] == kp[j]):
+        ri, rj = kpc[i].tolist(), kpc[j].tolist()
+        if ri[:2] == rj[:2]:
             continue
-        try:
-            cand = fit_similarity(kp[[i, j]], kc[[i, j]])
-        except DegenerateConfiguration:
+        cand = _fit_pair(ri, rj)
+        if cand is None:
             continue
-        res = np.sqrt(((cand.transform(kp) - kc) ** 2).sum(axis=1))
-        inl = res < inlier_threshold_px
+        inl = _residuals(cand, kp1, kc) < inlier_threshold_px
         count = int(inl.sum())
         if count > best_count:
             best_count = count
@@ -197,9 +260,9 @@ def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iter
     if best_count < 2 or best_inliers is None:
         raise NoConsensus(f"best consensus has {best_count} pairs (need >= 2)")
 
-    model = fit_similarity(kp[best_inliers], kc[best_inliers])
-    res = np.sqrt(((model.transform(p) - c) ** 2).sum(axis=1))
-    mask_sorted = keep & (res < inlier_threshold_px)
+    params = _fit(kpc[best_inliers])
+    model = _similarity(params)
+    mask_sorted = keep & (_residuals(params, p1, c) < inlier_threshold_px)
 
     mask = np.zeros(n, dtype=bool)
     mask[order] = mask_sorted

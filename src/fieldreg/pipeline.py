@@ -2,6 +2,7 @@
 and evaluation.  These are the verbs the CLI exposes; each one is usable as a
 plain function on in-memory objects."""
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -19,7 +20,14 @@ from .errors import (
     SingularInnovation,
     UnknownKeypointId,
 )
-from .geometry import EPS_DET, RansacParams, apply_homography, ransac_homography
+from .geometry import (
+    EPS_DET,
+    RansacParams,
+    apply_homography,
+    check_iters,
+    check_threshold,
+    ransac_homography,
+)
 from .homography_filter import (
     ekf_init,
     ekf_predict,
@@ -70,6 +78,8 @@ class FilterOptions:
         # skip every homography update
         if not self.max_condition >= 1.0:
             raise ValueError(f"max_condition must be at least 1, got {self.max_condition}")
+        check_threshold("motion_threshold_px", self.motion_threshold_px)
+        check_iters("motion_max_iters", self.motion_max_iters)
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,10 @@ def _resolve_motion(frame, options):
 
 def _emit(frame_index, h_state, kp_state, flags):
     H = reconstruct_homography(h_state)
-    if not np.all(np.isfinite(H)) or abs(np.linalg.det(H)) <= EPS_DET:
+    (a, b, c), (d, e, f), (g, h, i) = H.tolist()
+    # closed-form determinant; a non-finite entry makes it non-finite
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if not (math.isfinite(det) and abs(det) > EPS_DET):
         H = None
         flags = flags + ["degenerate_estimate"]
     ids = np.flatnonzero(kp_state.measured_now)
@@ -116,7 +129,7 @@ def _emit(frame_index, h_state, kp_state, flags):
         frame_index=frame_index,
         homography=H,
         keypoint_ids=ids,
-        keypoint_positions=kp_state.keypoint_means()[ids].copy(),
+        keypoint_positions=kp_state.keypoint_means()[ids],
         flags=tuple(flags),
     )
 
@@ -130,11 +143,12 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
     motion, keypoint predict + update, homography predict + update over the
     active set, emit.  Update failures are flagged and skipped, never fatal.
     State memory is flat in sequence length.  The keypoint stage is linear
-    in keypoint count; the homography stage stores a (2N + 8)-square
-    covariance, but with a static field its update is 8x8 algebra in
-    information form, gated by a certified bound on the innovation's
-    condition number (the exact eigenvalue test runs only when the bound
-    cannot decide).
+    in keypoint count.  The homography stage, under the bank's static
+    field, stores only the 8x8 homography covariance; its update is 8x8
+    algebra in information form over the 2K x 8 homography Jacobian, gated
+    by a certified bound on the innovation's condition number (the exact
+    eigenvalue test runs only when the bound cannot decide).  Motion under
+    "estimate" is fitted in closed form.
 
     Raises NoInitializableFrame (after the sequence ends) if nothing
     initialized, and UnknownKeypointId on out-of-template indices.

@@ -196,14 +196,19 @@ def iter_sequence(path, template):
             if "flow" in row:
                 try:
                     arr = np.array(row["flow"], dtype=float).reshape(-1, 4)
-                except ValueError as e:
+                except (TypeError, ValueError) as e:
                     raise FormatError(f"bad flow rows: {e}", path=path, line=lineno) from None
+                if not np.isfinite(arr).all():
+                    raise FormatError("non-finite flow value", path=path, line=lineno)
                 flow = (arr[:, :2].copy(), arr[:, 2:].copy())
             gt_h = None
             if "gt_homography" in row:
                 try:
-                    gt_h = normalize_homography(np.array(row["gt_homography"], dtype=float).reshape(3, 3))
-                except (ValueError, SingularMatrix) as e:
+                    gt_h = np.array(row["gt_homography"], dtype=float).reshape(3, 3)
+                    if not np.isfinite(gt_h).all():
+                        raise ValueError("non-finite entry")
+                    gt_h = normalize_homography(gt_h)
+                except (TypeError, ValueError, SingularMatrix) as e:
                     raise FormatError(f"bad gt_homography: {e}", path=path, line=lineno) from None
             gt_idx = gt_pos = None
             if "gt_keypoints" in row:

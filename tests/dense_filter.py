@@ -4,11 +4,13 @@ These are the textbook equations with every matrix spelled out: the keypoint
 stage carries a full (2N, 2N) covariance, and the EKF transforms, gains and
 Joseph-updates the whole (2N + 8) state.  fieldreg's own filters exploit the
 structure these matrices keep by construction (2x2 keypoint blocks, zero
-field rows under a static field); the tests check that they agree.
+field rows under a static field, which fieldreg does not store); the tests
+check that they agree.
 
 The functions take and return the same things as their fieldreg namesakes,
-except that keypoint states are DenseKeypointState, so they can stand in for
-them inside fieldreg.pipeline.iter_filter.
+except that keypoint states are DenseKeypointState and homography states
+always carry the joint (2N + 8)-square covariance (full_cov widens a compact
+one), so they can stand in for them inside fieldreg.pipeline.iter_filter.
 """
 
 from dataclasses import dataclass, replace
@@ -64,6 +66,16 @@ def _coord_idx(ids):
     out[0::2] = 2 * ids
     out[1::2] = 2 * ids + 1
     return out
+
+
+def full_cov(state):
+    """The joint (2N + 8)-square covariance of a HomographyFilterState."""
+    if state.joint:
+        return state.cov
+    n = state.n
+    cov = np.zeros((2 * n + 8, 2 * n + 8))
+    cov[2 * n:, 2 * n:] = state.cov
+    return cov
 
 
 def _field_blocks(noise, n):
@@ -177,7 +189,7 @@ def ekf_predict(state, motion, noise):
     H_new = motion.as_matrix() @ reconstruct_homography(state)
     M = np.eye(2 * n + 8)
     M[2 * n:, 2 * n:] = _transition_matrix(motion)
-    cov = M @ state.cov @ M.T
+    cov = M @ full_cov(state) @ M.T
     cov[:2 * n, :2 * n] += block_diag(_field_blocks(noise, n))
     cov[2 * n:, 2 * n:] += noise.homography_process
     cov = 0.5 * (cov + cov.T)
@@ -200,7 +212,7 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     R = kp_state.cov[np.ix_(ci, ci)]
     J = measurement_jacobian(state, active_idx, eps=eps)
     pred = predict_measurements(state, active_idx, eps=eps).ravel()
-    P = state.cov
+    P = full_cov(state)
     S = J @ P @ J.T + R
     S = 0.5 * (S + S.T)
     cond = np.linalg.cond(S)

@@ -75,10 +75,10 @@ def test_transition_matrix_blocks():
 def test_ekf_init_recovers_exact_homography():
     state, H = init_state()
     assert np.abs(reconstruct_homography(state) - H).max() < 1e-9
-    n = TEMPLATE.n
     assert np.array_equal(state.field_points(), TEMPLATE.positions)
-    assert np.array_equal(state.cov[2 * n:, 2 * n:], small_noise().init_cov)
-    assert not state.cov[:2 * n, :2 * n].any()   # static field: zero blocks
+    # static field: only the homography covariance is stored
+    assert not state.joint
+    assert np.array_equal(state.cov, small_noise().init_cov)
 
 
 def test_ekf_init_input_checks():
@@ -119,8 +119,9 @@ def test_predict_covariance_oracle():
     M[2 * n:, 2 * n:] = _transition_matrix(m)
     Q = np.zeros((2 * n + 8, 2 * n + 8))
     Q[2 * n:, 2 * n:] = noise.homography_process
-    expect = M @ state.cov @ M.T + Q
-    assert np.allclose(moved.cov, 0.5 * (expect + expect.T), atol=1e-15)
+    expect = M @ dense.full_cov(state) @ M.T + Q
+    assert moved.cov.shape == (8, 8)
+    assert np.allclose(dense.full_cov(moved), 0.5 * (expect + expect.T), atol=1e-15)
 
 
 def test_predict_covariance_exactly_symmetric_with_field_process():
@@ -192,7 +193,7 @@ def test_update_matches_dense_oracle():
     R = block_diag(kp.cov)[np.ix_(ci, ci)]
     J = measurement_jacobian(state, active)
     pred = predict_measurements(state, active).ravel()
-    P = state.cov
+    P = dense.full_cov(state)
     S = J @ P @ J.T + R
     K = P @ J.T @ np.linalg.inv(0.5 * (S + S.T))
     mean = state.stacked_mean() + K @ (z - pred)
@@ -200,7 +201,7 @@ def test_update_matches_dense_oracle():
     cov = IKJ @ P @ IKJ.T + K @ R @ K.T
 
     assert np.allclose(updated.stacked_mean(), mean, atol=1e-9)
-    assert np.allclose(updated.cov, 0.5 * (cov + cov.T), atol=1e-9)
+    assert np.allclose(dense.full_cov(updated), 0.5 * (cov + cov.T), atol=1e-9)
 
 
 def test_update_pulls_homography_toward_truth():
@@ -210,11 +211,9 @@ def test_update_pulls_homography_toward_truth():
     state, H = init_state()
     p_true = state.h_mean.copy()
     p_bad = p_true * (1.0 + 1e-3) + 1e-5
-    loose = state.cov.copy()
     # vague prior scaled to each parameter's magnitude (the perspective terms
     # h31, h32 live at 1e-3, the translation terms at 1e2)
-    loose[2 * state.n:, 2 * state.n:] = np.diag(
-        [1.0, 1.0, 1e-8, 1.0, 1.0, 1e-8, 1e4, 1e4])
+    loose = np.diag([1.0, 1.0, 1e-8, 1.0, 1.0, 1e-8, 1e4, 1e4])
     bad = HomographyFilterState(field_mean=state.field_mean,
                                 h_mean=p_bad, cov=loose)
     n = state.n
@@ -347,7 +346,7 @@ def exact_spectrum(state, kp, active):
     """Extreme eigenvalues of the dense S = J P J^T + R."""
     J = measurement_jacobian(state, active)
     R = block_diag(kp.cov[active])
-    S = J @ state.cov @ J.T + R
+    S = J @ dense.full_cov(state) @ J.T + R
     eig = np.linalg.eigvalsh(0.5 * (S + S.T))
     return eig[0], eig[-1]
 
@@ -359,17 +358,15 @@ def innovation_bounds(JC, blocks):
 
 
 def cheap_condition_bound(state, kp, active):
-    n = state.n
-    h = slice(2 * n, 2 * n + 8)
-    J = measurement_jacobian(state, active)[:, h]
-    lo, hi = innovation_bounds(J @ np.linalg.cholesky(state.cov[h, h]), kp.cov[active])
+    J = measurement_jacobian(state, active)[:, 2 * state.n:]
+    lo, hi = innovation_bounds(J @ np.linalg.cholesky(state.cov), kp.cov[active])
     return hi / lo
 
 
 def assert_matches_dense(state, kp, active, max_condition):
     got = ekf_update(state, kp, active, max_condition=max_condition)
     want = dense.ekf_update(state, dense_kp(kp), active, max_condition=max_condition)
-    for a, b in ((got.stacked_mean(), want.stacked_mean()), (got.cov, want.cov)):
+    for a, b in ((got.stacked_mean(), want.stacked_mean()), (dense.full_cov(got), want.cov)):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fieldreg.errors import InsufficientPoints, NoConsensus
+import lstsq_motion
+from fieldreg.errors import DegenerateConfiguration, InsufficientPoints, NoConsensus
 from fieldreg.motion import AffineSimilarity, estimate_global_motion, fit_similarity
 
 
@@ -167,3 +168,90 @@ def test_estimate_global_motion_input_checks():
         estimate_global_motion(np.zeros((1, 2)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         estimate_global_motion(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+# -- the closed-form fits against the least-squares solve they replaced ------
+
+
+def contaminated_flow(seed):
+    """Seeded flow pairs: a similarity with pixel noise, a share of gross
+    outliers, and, depending on the seed, duplicated pairs and source points
+    a hair apart."""
+    rng = np.random.default_rng([31, seed])
+    m = int(rng.integers(2, 90))
+    true = AffineSimilarity(a=rng.normal(1, 0.01), b=rng.normal(0, 0.01),
+                            tx=rng.normal(0, 5), ty=rng.normal(0, 5))
+    prev = rng.uniform(0, 1280, size=(m, 2))
+    curr = true.transform(prev) + rng.normal(0, 0.3, size=(m, 2))
+    bad = rng.random(m) < rng.uniform(0, 0.4)
+    curr[bad] += rng.uniform(-40, 40, size=(int(bad.sum()), 2))
+    if seed % 3 == 0:      # exact duplicate pairs
+        dup = rng.integers(0, m, size=max(1, m // 4))
+        prev, curr = np.vstack([prev, prev[dup]]), np.vstack([curr, curr[dup]])
+    if seed % 4 == 0:      # source points 1e-7 px from another
+        near = rng.integers(0, m, size=max(1, m // 4))
+        prev = np.vstack([prev, prev[near] + 1e-7])
+        curr = np.vstack([curr, curr[near] + rng.normal(0, 0.3, size=(near.size, 2))])
+    return prev, curr
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(got.params() - want.params()) / np.linalg.norm(want.params())
+
+
+def test_estimate_global_motion_matches_least_squares_oracle():
+    checked = 0
+    for seed in range(240):
+        prev, curr = contaminated_flow(seed)
+        try:
+            want, want_mask = lstsq_motion.estimate_global_motion(prev, curr, rng_seed=seed)
+        except (InsufficientPoints, NoConsensus, DegenerateConfiguration) as e:
+            with pytest.raises(type(e)):
+                estimate_global_motion(prev, curr, rng_seed=seed)
+            continue
+        got, got_mask = estimate_global_motion(prev, curr, rng_seed=seed)
+        assert np.array_equal(got_mask, want_mask), f"seed {seed}"
+        assert relative_gap(got, want) <= 1e-10, f"seed {seed}"
+        checked += 1
+    assert checked >= 200
+
+
+def test_fit_similarity_matches_least_squares_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        m = int(rng.integers(2, 40))
+        prev = rng.uniform(-50, 1300, size=(m, 2))
+        curr = prev @ rng.normal(0, 1, size=(2, 2)) + rng.normal(0, 100, size=2)
+        want = lstsq_motion.fit_similarity(prev, curr)
+        assert relative_gap(fit_similarity(prev, curr), want) <= 1e-10
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13])
+def test_coincident_sources_are_degenerate_for_both_fits(offset):
+    # a 2M x 4 least-squares solve counts these as rank 2; so does the closed form
+    prev = np.array([[640.0, 360.0], [640.0 + offset, 360.0], [640.0, 360.0]])
+    curr = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    for fit in (lstsq_motion.fit_similarity, fit_similarity):
+        with pytest.raises(DegenerateConfiguration):
+            fit(prev, curr)
+
+
+def test_near_coincident_sources_still_fit():
+    # 1.4e-6 px apart: far above the rank cut-off (about 1e-9 px here), but
+    # the rounding of curr limits both fits to about 1e-4 in the translation
+    true = AffineSimilarity(a=0.99, b=0.02, tx=3.0, ty=-1.0)
+    prev = np.array([[640.0, 360.0], [640.0 + 1e-6, 360.0 + 1e-6]])
+    for fit in (lstsq_motion.fit_similarity, fit_similarity):
+        assert np.allclose(fit(prev, true.transform(prev)).params(), true.params(),
+                           rtol=0.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimate_global_motion_rejects_non_finite_points(bad):
+    prev = np.arange(20.0).reshape(10, 2)
+    curr = prev + 1.0
+    curr[4, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_global_motion(prev, curr)
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_global_motion(curr, prev)

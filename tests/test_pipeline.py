@@ -17,7 +17,7 @@ from fieldreg.errors import (
     UnknownKeypointId,
 )
 from fieldreg.field import FieldTemplate
-from fieldreg.geometry import apply_homography
+from fieldreg.geometry import RansacParams, apply_homography
 from fieldreg.keypoint_filter import MeasurementFrame
 from fieldreg.motion import AffineSimilarity
 from fieldreg.pipeline import (
@@ -348,6 +348,31 @@ def test_misshapen_homography_is_a_format_error(tmp_path):
     assert "homography" in _format_error(read_estimates, path, 4)
 
 
+def _sequence_rows(tmp_path):
+    path = tmp_path / "seq.jsonl"
+    write_sequence(path, SequenceHeader("seq", DIMS), sim_frames(n_frames=3), TEMPLATE)
+    return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("key", ["flow", "gt_homography"])
+def test_wrongly_typed_flow_or_homography_is_a_format_error(tmp_path, key):
+    path, rows = _sequence_rows(tmp_path)
+    rows[2][key] = [[1, 2, 3, {"x": 1}]]
+    _write_rows(path, rows)
+    assert key in _format_error(read_sequence, path, 3)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("flow", [[1.0, 2.0, 3.0, 4.0], [5.0, float("nan"), 7.0, 8.0]]),
+    ("gt_homography", [[float("inf"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+])
+def test_non_finite_flow_or_homography_is_a_format_error(tmp_path, key, value):
+    path, rows = _sequence_rows(tmp_path)
+    rows[1][key] = value
+    _write_rows(path, rows)
+    assert key in _format_error(read_sequence, path, 2)
+
+
 def test_estimates_round_trip(tmp_path):
     frames = sim_frames(n_frames=5)
     ests = run_filter(frames, TEMPLATE, default_covariance_bank())
@@ -465,7 +490,63 @@ def test_filter_options_accept_condition_caps_from_one_to_inf():
         assert FilterOptions(max_condition=cap).max_condition == cap
 
 
+@pytest.mark.parametrize("field, value", [
+    ("inlier_threshold_px", float("nan")), ("inlier_threshold_px", float("inf")),
+    ("inlier_threshold_px", 0.0), ("inlier_threshold_px", -1.0),
+    ("max_iters", 0), ("max_iters", -5),
+    ("confidence", 0.0), ("confidence", 1.0), ("confidence", 1.5),
+    ("confidence", float("nan")),
+])
+def test_ransac_params_reject_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        RansacParams(**{field: value})
+
+
+def test_ransac_params_accept_edge_values():
+    p = RansacParams(inlier_threshold_px=1e-9, max_iters=1, confidence=1e-9)
+    assert (p.inlier_threshold_px, p.max_iters, p.confidence) == (1e-9, 1, 1e-9)
+    assert RansacParams(confidence=1.0 - 1e-12).confidence == 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("field, value", [
+    ("motion_threshold_px", float("nan")), ("motion_threshold_px", float("inf")),
+    ("motion_threshold_px", 0.0), ("motion_threshold_px", -1.5),
+    ("motion_max_iters", 0), ("motion_max_iters", -1),
+])
+def test_filter_options_reject_bad_motion_settings(field, value):
+    # each of these used to flag every steady-state frame identity_motion_fallback
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        FilterOptions(**{field: value})
+
+
 GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+def _cli_verb_args(verb, tmp_path):
+    seq = str(GOLDEN / "golden_sequence.jsonl")
+    if verb == "calibrate":
+        return ["calibrate", "--input", seq, "--output", str(tmp_path / "out")]
+    return [verb, "--input", seq, "--output", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("verb", ["baseline", "filter", "calibrate"])
+@pytest.mark.parametrize("flag, value, field", [
+    ("--threshold-px", "nan", "inlier_threshold_px"),
+    ("--threshold-px", "-1", "inlier_threshold_px"),
+    ("--max-iters", "0", "max_iters"),
+    ("--max-iters", "-5", "max_iters"),
+])
+def test_cli_rejects_bad_ransac_settings(tmp_path, capsys, verb, flag, value, field):
+    assert cli_main(_cli_verb_args(verb, tmp_path) + [flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1.0", "1.5", "nan", "0"])
+def test_cli_baseline_rejects_bad_confidence(tmp_path, capsys, value):
+    assert cli_main(_cli_verb_args("baseline", tmp_path) + ["--confidence", value]) == 1
+    assert capsys.readouterr().err.startswith("error: confidence must be")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cap", ["nan", "0", "-1"])
