@@ -74,25 +74,34 @@ def normalize_homography(H, eps=EPS_T):
 
 
 def invert_homography(H, eps_det=EPS_DET, eps=EPS_T):
-    """Inverse homography, renormalized to h33 = 1.  Raises SingularMatrix.
+    """Inverse homography, renormalized to h33 = 1.
 
     Closed-form cofactor inverse in Python floats, evaluated in a fixed order,
     so the result is the same whichever LAPACK/BLAS kernels NumPy uses.
+    Raises SingularMatrix when |det| is at most eps_det, when the inverse's
+    h33 is at most eps relative to it, or when either is NaN.
     """
-    (a, b, c), (d, e, f), (g, h, i) = np.asarray(H, dtype=float).tolist()
+    return np.array(invert_rows(np.asarray(H, dtype=float).tolist(), eps_det, eps))
+
+
+def invert_rows(rows, eps_det=EPS_DET, eps=EPS_T):
+    """invert_homography on a 3x3 nested list of floats; returns one."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
     c11, c12, c13 = e * i - f * h, f * g - d * i, d * h - e * g
     det = a * c11 + b * c12 + c * c13
-    if abs(det) <= eps_det:
+    # negated tests, so that a NaN fails them too: the divisions below then
+    # never meet a zero
+    if not abs(det) > eps_det:
         raise SingularMatrix(f"|det| = {abs(det):.3e} <= {eps_det}")
     c33 = a * e - b * d
-    if abs(c33 / det) <= eps:
+    if not abs(c33 / det) > eps:
         raise SingularMatrix("inverse cannot be normalized to h33 = 1")
     # The adjugate (transposed cofactors) scaled by its own bottom-right
     # entry: the determinant cancels, and that entry comes out exactly 1.
-    adj = np.array([[c11, c * h - b * i, b * f - c * e],
-                    [c12, a * i - c * g, c * d - a * f],
-                    [c13, b * g - a * h, c33]])
-    return adj / c33
+    adj = [[c11, c * h - b * i, b * f - c * e],
+           [c12, a * i - c * g, c * d - a * f],
+           [c13, b * g - a * h, c33]]
+    return [[v / c33 for v in row] for row in adj]
 
 
 def homography_params(H):
@@ -327,19 +336,24 @@ def ransac_homography(src, dst, inlier_threshold_px=3.0, max_iters=2000, rng_see
 
 
 # ---------------------------------------------------------------------------
-# Convex polygons.  Vertices are (V, 2) arrays; canonical winding is
-# counter-clockwise in a y-up sense (positive shoelace sum).
+# Convex polygons.  Vertices are lists of (x, y) Python-float pairs; canonical
+# winding is counter-clockwise in a y-up sense (positive shoelace sum).  A
+# polygon has at most a handful of vertices, so plain float arithmetic beats
+# NumPy's per-call overhead; it rounds exactly as NumPy's element-wise ufuncs
+# do, and every operation runs in a fixed order.
 
 
 def signed_area(vertices):
-    v = np.asarray(vertices, dtype=float)
-    if v.shape[0] < 3:
+    """Shoelace area, positive for counter-clockwise vertices; 0.0 below 3.
+
+    The correctly rounded sum (math.fsum) of the rounded cross terms, taken
+    in vertex order, so the result does not depend on a BLAS build.
+    """
+    if len(vertices) < 3:
         return 0.0
-    # Correctly rounded sum of the rounded cross terms rather than a BLAS dot,
-    # whose summation order (and FMA use) varies between builds.
-    pts = v.tolist()
-    return 0.5 * math.fsum(t for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])
-                           for t in (x0 * y1, -y0 * x1))
+    nxt = [*vertices[1:], vertices[0]]
+    return 0.5 * math.fsum([t for (x0, y0), (x1, y1) in zip(vertices, nxt)
+                            for t in (x0 * y1, -y0 * x1)])
 
 
 def polygon_area(vertices):
@@ -348,73 +362,60 @@ def polygon_area(vertices):
 
 
 def ensure_ccw(vertices):
-    """Same polygon with positive orientation (reversed if needed)."""
-    v = np.asarray(vertices, dtype=float)
-    return v[::-1].copy() if signed_area(v) < 0.0 else v.copy()
+    """Same polygon as a new list, reversed if its orientation is negative."""
+    v = list(vertices)
+    if signed_area(v) < 0.0:
+        v.reverse()
+    return v
 
 
 def convex_polygon(vertices):
     """Validate and canonicalize a strictly convex polygon to CCW order.
 
-    Raises ValueError on fewer than 3 vertices, non-finite coordinates, zero
-    area, or any non-left turn (collinear runs and bowties both fail).
+    Raises ValueError on fewer than 3 vertices, non-finite coordinates, or
+    any non-left turn (collinear runs, zero area and bowties all fail).
     """
-    v = np.asarray(vertices, dtype=float)
-    if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
-        raise ValueError(f"expected (V >= 3, 2) vertex array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if len(vertices) < 3:
+        raise ValueError(f"expected at least 3 vertices, got {len(vertices)}")
+    if not all(math.isfinite(c) for p in vertices for c in p):
         raise ValueError("non-finite vertex coordinate")
-    v = ensure_ccw(v)
-    e = np.roll(v, -1, axis=0) - v
-    en = np.roll(e, -1, axis=0)
-    cross = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
-    if not np.all(cross > 0.0):
-        raise ValueError("polygon is not strictly convex")
+    v = ensure_ccw(vertices)
+    # cross product of each edge with the next one
+    (ax, ay), (bx, by) = v[-2], v[-1]
+    ex, ey = bx - ax, by - ay
+    for cx, cy in v:
+        fx, fy = cx - bx, cy - by
+        if not ex * fy - ey * fx > 0.0:
+            raise ValueError("polygon is not strictly convex")
+        bx, by, ex, ey = cx, cy, fx, fy
     return v
 
 
 def clip_polygon(subject, clip):
     """Sutherland-Hodgman intersection of two convex polygons.
 
-    Both inputs are vertex arrays in any winding; the result is the
-    intersection's vertices (possibly (0, 2)).  Vertices on a clip edge count
-    as inside.
+    Both inputs are vertex lists in any winding; the result is the
+    intersection's vertices as a CCW list of (x, y) tuples, possibly empty.
+    Vertices on a clip edge count as inside.
     """
-    out = [tuple(p) for p in ensure_ccw(np.asarray(subject, dtype=float))]
-    cl = ensure_ccw(np.asarray(clip, dtype=float))
-    nc = cl.shape[0]
-    for i in range(nc):
+    out = [tuple(p) for p in ensure_ccw(subject)]
+    cl = ensure_ccw(clip)
+    for (ax, ay), (bx, by) in zip(cl, cl[1:] + cl[:1]):
         if not out:
             break
-        ax, ay = cl[i]
-        bx, by = cl[(i + 1) % nc]
         ex, ey = bx - ax, by - ay
-
-        def inside(p):
-            return ex * (p[1] - ay) - ey * (p[0] - ax) >= 0.0
-
         cur = out
         out = []
-        for j, p in enumerate(cur):
-            q = cur[j - 1]
-            pin, qin = inside(p), inside(q)
-            if pin != qin:
+        qx, qy = cur[-1]
+        dq = ex * (qy - ay) - ey * (qx - ax)
+        for p in cur:
+            px, py = p
+            dp = ex * (py - ay) - ey * (px - ax)
+            if (dp >= 0.0) != (dq >= 0.0):
                 # Intersection of segment q-p with the clip line through a-b.
-                dq = ex * (q[1] - ay) - ey * (q[0] - ax)
-                dp = ex * (p[1] - ay) - ey * (p[0] - ax)
                 t = dq / (dq - dp)
-                out.append((q[0] + t * (p[0] - q[0]), q[1] + t * (p[1] - q[1])))
-            if pin:
+                out.append((qx + t * (px - qx), qy + t * (py - qy)))
+            if dp >= 0.0:
                 out.append(p)
-    return np.array(out, dtype=float).reshape(-1, 2)
-
-
-def points_in_convex_polygon(points, vertices):
-    """Boolean mask of points inside (or on) a convex polygon."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    v = ensure_ccw(np.asarray(vertices, dtype=float))
-    e = np.roll(v, -1, axis=0) - v
-    rel_x = P[:, None, 0] - v[None, :, 0]
-    rel_y = P[:, None, 1] - v[None, :, 1]
-    cross = e[None, :, 0] * rel_y - e[None, :, 1] * rel_x
-    return np.all(cross >= 0.0, axis=1)
+            qx, qy, dq = px, py, dp
+    return out

@@ -7,18 +7,18 @@ image space, so thresholds mean the same thing at any working resolution.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProjection, NoMatchedKeypoints, NoSamples, SingularMatrix
+from .errors import DegenerateProjection, NoMatchedKeypoints, NoSamples
 from .geometry import (
     EPS_T,
     clip_polygon,
     convex_polygon,
     ensure_ccw,
-    invert_homography,
-    normalize_homography,
+    invert_rows,
     polygon_area,
 )
 
@@ -28,28 +28,35 @@ AP_THRESHOLDS_PX = (5.0, 10.0, 15.0, 20.0)
 PROJECTION_ERROR_SAMPLES = 2500
 
 
-def _project(H, points):
-    """Map (N, 2) points through H; returns ((N, 2) images, (N,) homogeneous scales t).
+def _rows(H):
+    return np.asarray(H, dtype=float).tolist()
 
+
+def _project(H, x, y):
+    """Map points with coordinate arrays x and y through H (3x3 nested list).
+
+    Returns the image coordinate arrays u, v and the homogeneous scales t.
     Written out entry by entry as element-wise multiplies and adds in a fixed
     order instead of matrix products, so every metric is the same whichever
     BLAS kernel NumPy would dispatch to.  Images of points with t = 0 are not
     finite; callers test t.
     """
-    H = np.asarray(H, dtype=float)
-    x, y = points[:, 0], points[:, 1]
-    t = H[2, 0] * x + H[2, 1] * y + H[2, 2]
+    (a, b, c), (d, e, f), (g, h, i) = H
+    t = g * x + h * y + i
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = (H[0, 0] * x + H[0, 1] * y + H[0, 2]) / t
-        v = (H[1, 0] * x + H[1, 1] * y + H[1, 2]) / t
-    return np.column_stack([u, v]), t
+        return (a * x + b * y + c) / t, (d * x + e * y + f) / t, t
 
 
 def _mapped_quad(H, corners, eps=EPS_T):
-    """Corners through H as a validated convex quad; DegenerateProjection otherwise."""
-    pts, den = _project(H, corners)
-    if np.any(den <= eps):
+    """Corners through H (3x3 nested list) as a validated convex quad;
+    DegenerateProjection otherwise.  Scalar arithmetic, in _project's order."""
+    (a, b, c), (d, e, f), (g, h, i) = H
+    den = [g * x + h * y + i for x, y in corners]
+    if any(t <= eps for t in den):
         raise DegenerateProjection("mapped vertex at or behind projective infinity")
+    # every t is above eps or NaN, so no division by zero
+    pts = [((a * x + b * y + c) / t, (d * x + e * y + f) / t)
+           for (x, y), t in zip(corners, den)]
     try:
         return convex_polygon(pts)
     except ValueError as e:
@@ -57,17 +64,16 @@ def _mapped_quad(H, corners, eps=EPS_T):
 
 
 def _composite(left, right):
-    # left o right, renormalized to h33 = 1 so denominator signs are anchored
-    # at the origin like every other homography here.  The product is spelled
-    # out, C[i, j] = L[i, 0] R[0, j] + L[i, 1] R[1, j] + L[i, 2] R[2, j], for
-    # the same reason as in _project.
-    L = np.asarray(left, dtype=float)
-    R = np.asarray(right, dtype=float)
-    C = L[:, 0, None] * R[0] + L[:, 1, None] * R[1] + L[:, 2, None] * R[2]
-    try:
-        return normalize_homography(C)
-    except SingularMatrix:
-        raise DegenerateProjection("composite map cannot be normalized to h33 = 1") from None
+    # left o right for 3x3 nested lists, renormalized to h33 = 1 so
+    # denominator signs are anchored at the origin like every other
+    # homography here.  C[i][j] = L[i][0] R[0][j] + L[i][1] R[1][j] +
+    # L[i][2] R[2][j], summed left to right.
+    cols = list(zip(*right))
+    C = [[l0 * r0 + l1 * r1 + l2 * r2 for r0, r1, r2 in cols] for l0, l1, l2 in left]
+    c33 = C[2][2]
+    if abs(c33) <= EPS_T:
+        raise DegenerateProjection("composite map cannot be normalized to h33 = 1")
+    return [[v / c33 for v in row] for row in C]
 
 
 def _iou(poly_a, poly_b):
@@ -75,7 +81,7 @@ def _iou(poly_a, poly_b):
     union = polygon_area(poly_a) + polygon_area(poly_b) - inter
     if union <= 0.0:
         return 0.0
-    return float(inter / union)
+    return inter / union
 
 
 def iou_entire(h_gt, h_pred, template, dims, eps=EPS_T):
@@ -84,56 +90,63 @@ def iou_entire(h_gt, h_pred, template, dims, eps=EPS_T):
     The field rectangle is pushed to the image by the ground truth and pulled
     back by the prediction; a perfect prediction reproduces the rectangle.
     dims is unused by the math but kept for signature symmetry with the other
-    whole-frame metrics.
+    whole-frame metrics.  Raises SingularMatrix when h_pred is singular.
     """
     del dims
-    comp = _composite(invert_homography(h_pred), h_gt)
-    quad = _mapped_quad(comp, template.corners(), eps)
-    return _iou(quad, template.corners())
+    comp = _composite(invert_rows(_rows(h_pred)), _rows(h_gt))
+    field = template.corners().tolist()
+    return _iou(_mapped_quad(comp, field, eps), field)
 
 
 def iou_entire_image(h_gt, h_pred, dims, eps=EPS_T):
     """Whole-field IoU composited in image space (the convention some public
     evaluation code uses): the image rectangle goes to the template through
-    the ground truth inverse and back through the prediction."""
-    comp = _composite(np.asarray(h_pred, dtype=float), invert_homography(h_gt))
-    quad = _mapped_quad(comp, dims.corners(), eps)
-    return _iou(quad, dims.corners())
+    the ground truth inverse and back through the prediction.  Raises
+    SingularMatrix when h_gt is singular."""
+    comp = _composite(_rows(h_pred), invert_rows(_rows(h_gt)))
+    image = dims.corners().tolist()
+    return _iou(_mapped_quad(comp, image, eps), image)
 
 
 def iou_part(h_gt, h_pred, dims, eps=EPS_T):
-    """IoU of the two template-space projections of the image rectangle (visible part only)."""
-    quad_gt = _mapped_quad(invert_homography(h_gt), dims.corners(), eps)
-    quad_pred = _mapped_quad(invert_homography(h_pred), dims.corners(), eps)
+    """IoU of the two template-space projections of the image rectangle
+    (visible part only).  Raises SingularMatrix when either map is singular."""
+    image = dims.corners().tolist()
+    quad_gt = _mapped_quad(invert_rows(_rows(h_gt)), image, eps)
+    quad_pred = _mapped_quad(invert_rows(_rows(h_pred)), image, eps)
     return _iou(quad_gt, quad_pred)
 
 
 def _sample_convex_polygon(vertices, n_samples, rng):
-    """(n_samples, 2) points uniform over a convex polygon, drawn directly.
+    """n_samples points uniform over a convex polygon, drawn directly, as
+    contiguous x and y arrays.
 
     The polygon is fan-triangulated from its first vertex a.  Each sample
     draws three uniforms u, r1, r2 from rng: u picks a triangle with
     probability equal to its share of the area (against the cumulative
     areas), and the point is a + sqrt(r1)(1 - r2) e1 + sqrt(r1) r2 e2 for
     that triangle's edge vectors e1, e2 from a (Turk, "Generating random
-    points in triangles", Graphics Gems, 1990).  Only element-wise
-    arithmetic, so the points are the same whatever the BLAS build or the
-    CPU's vector extensions.
+    points in triangles", Graphics Gems, 1990).  The per-vertex set-up is
+    scalar and the per-sample work element-wise, so the points are the same
+    whatever the BLAS build or the CPU's vector extensions.
     """
     v = ensure_ccw(vertices)
     ax, ay = v[0]
-    e1x, e1y = (v[1:-1] - v[0]).T
-    e2x, e2y = (v[2:] - v[0]).T
+    e1 = [(x - ax, y - ay) for x, y in v[1:-1]]
+    e2 = [(x - ax, y - ay) for x, y in v[2:]]
     # twice each fan triangle's area; clipping can leave a repeated vertex,
     # whose triangle must get zero weight, not a rounding-negative one
-    cum = np.cumsum(np.maximum(e1x * e2y - e1y * e2x, 0.0))
+    cum = list(itertools.accumulate(max(x1 * y2 - y1 * x2, 0.0)
+                                    for (x1, y1), (x2, y2) in zip(e1, e2)))
     u, r1, r2 = rng.random((3, n_samples))
-    tri = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+    tri = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
+    e1x, e1y = np.array(e1).T
+    e2x, e2y = np.array(e2).T
     s = np.sqrt(r1)
     w1 = s * (1.0 - r2)
     w2 = s * r2
-    return np.column_stack([ax + w1 * e1x[tri] + w2 * e2x[tri],
-                            ay + w1 * e1y[tri] + w2 * e2y[tri]])
+    return (ax + w1 * e1x[tri] + w2 * e2x[tri],
+            ay + w1 * e1y[tri] + w2 * e2y[tri])
 
 
 def projection_error(h_gt, h_pred, template, dims, n_samples=PROJECTION_ERROR_SAMPLES,
@@ -147,43 +160,46 @@ def projection_error(h_gt, h_pred, template, dims, n_samples=PROJECTION_ERROR_SA
     homographies, and the result is the mean distance between the two field
     positions.  The estimate is deterministic in rng_seed; run_evaluate
     passes its seed plus the frame index.  Raises ValueError when n_samples
-    is below 1, and DegenerateProjection when the visible pitch has no area
-    or a sample has no finite field image.
+    is below 1, SingularMatrix when either map is singular, and
+    DegenerateProjection when the visible pitch has no area or a sample has
+    no finite field image.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    inv_gt = invert_homography(h_gt)
-    inv_pred = invert_homography(h_pred)
-    field_quad = _mapped_quad(h_gt, template.corners(), eps)
-    visible = clip_polygon(field_quad, dims.corners())
+    rows_gt = _rows(h_gt)
+    inv_gt = invert_rows(rows_gt)
+    inv_pred = invert_rows(_rows(h_pred))
+    field_quad = _mapped_quad(rows_gt, template.corners().tolist(), eps)
+    visible = clip_polygon(field_quad, dims.corners().tolist())
     if polygon_area(visible) <= 0.0:
         raise DegenerateProjection("ground-truth field projection misses the image")
-    pts = _sample_convex_polygon(visible, n_samples, np.random.default_rng(rng_seed))
+    x, y = _sample_convex_polygon(visible, n_samples, np.random.default_rng(rng_seed))
 
-    on_gt, t_gt = _project(inv_gt, pts)
-    on_pred, t_pred = _project(inv_pred, pts)
+    u_gt, v_gt, t_gt = _project(inv_gt, x, y)
+    u_pred, v_pred, t_pred = _project(inv_pred, x, y)
     if np.any(np.abs(t_gt) <= eps) or np.any(np.abs(t_pred) <= eps):
         raise DegenerateProjection("sampled image point has no finite field image")
-    d = on_gt - on_pred
-    return float(np.mean(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+    du = u_gt - u_pred
+    dv = v_gt - v_pred
+    return float(np.mean(np.sqrt(du * du + dv * dv)))
 
 
 def reprojection_error(h_gt, h_pred, template, dims, eps=EPS_T):
     """Mean keypoint displacement in pixels over GT-visible keypoints, as a
     fraction of image height."""
-    proj_gt, den_gt = _project(h_gt, template.positions)
+    x, y = template.positions[:, 0], template.positions[:, 1]
+    u_gt, v_gt, den_gt = _project(_rows(h_gt), x, y)
     w, h = float(dims.width_px), float(dims.height_px)
-    vis = ((den_gt > eps)
-           & (proj_gt[:, 0] >= 0) & (proj_gt[:, 0] <= w)
-           & (proj_gt[:, 1] >= 0) & (proj_gt[:, 1] <= h))
+    vis = (den_gt > eps) & (u_gt >= 0) & (u_gt <= w) & (v_gt >= 0) & (v_gt <= h)
     if not np.any(vis):
         raise DegenerateProjection("no template keypoint visible under the ground truth")
 
-    proj_pred, den_pred = _project(h_pred, template.positions[vis])
+    u_pred, v_pred, den_pred = _project(_rows(h_pred), x[vis], y[vis])
     if np.any(np.abs(den_pred) <= eps):
         raise DegenerateProjection("predicted projection sends a visible keypoint to infinity")
-    dist = np.sqrt(((proj_pred - proj_gt[vis]) ** 2).sum(axis=1))
-    return float(dist.mean() / h)
+    du = u_pred - u_gt[vis]
+    dv = v_pred - v_gt[vis]
+    return float(np.sqrt(du * du + dv * dv).mean() / h)
 
 
 @functools.lru_cache(maxsize=1)

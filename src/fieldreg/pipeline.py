@@ -18,6 +18,7 @@ from .errors import (
     NoMatchedKeypoints,
     NumericalDegeneracy,
     SingularInnovation,
+    SingularMatrix,
     UnknownKeypointId,
 )
 from .geometry import (
@@ -296,7 +297,8 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
 
     Frames without a prediction (pre-init) or without ground truth are
     counted and excluded from aggregates; frames whose quads leave the valid
-    projective region are flagged degenerate and likewise excluded.
+    projective region, or whose prediction or ground truth is singular, are
+    flagged degenerate and likewise excluded.
     Aggregates carry mean and median per metric over the scored frames; the
     average_precision mean is the mAP.  Raises FrameMismatch when the two
     frame sets differ, and ValueError when projection_samples is below 1.
@@ -344,7 +346,7 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
                 h_gt, h_pred, template, dims, n_samples=projection_samples,
                 rng_seed=rng_seed + idx)
             values["reprojection_error"] = reprojection_error(h_gt, h_pred, template, dims)
-        except DegenerateProjection:
+        except (DegenerateProjection, SingularMatrix):
             counts["degenerate_projection"] += 1
             flags.append("degenerate_projection")
             frames.append(FrameMetrics(idx, {}, tuple(flags)))

@@ -150,6 +150,17 @@ def _parse_id_pos(entries, template, path, line):
     return idx, pos
 
 
+def _parse_homography(value, key, path, line):
+    """A finite 3x3 matrix normalized to h33 = 1, or a FormatError naming key."""
+    try:
+        H = np.array(value, dtype=float).reshape(3, 3)
+        if not np.isfinite(H).all():
+            raise ValueError("non-finite entry")
+        return normalize_homography(H)
+    except (TypeError, ValueError, SingularMatrix) as e:
+        raise FormatError(f"bad {key}: {e}", path=path, line=line) from None
+
+
 def iter_sequence(path, template):
     """Yield SequenceHeader first, then SequenceFrame per line, streaming."""
     with open(path, "r", encoding="utf-8") as f:
@@ -203,13 +214,7 @@ def iter_sequence(path, template):
                 flow = (arr[:, :2].copy(), arr[:, 2:].copy())
             gt_h = None
             if "gt_homography" in row:
-                try:
-                    gt_h = np.array(row["gt_homography"], dtype=float).reshape(3, 3)
-                    if not np.isfinite(gt_h).all():
-                        raise ValueError("non-finite entry")
-                    gt_h = normalize_homography(gt_h)
-                except (TypeError, ValueError, SingularMatrix) as e:
-                    raise FormatError(f"bad gt_homography: {e}", path=path, line=lineno) from None
+                gt_h = _parse_homography(row["gt_homography"], "gt_homography", path, lineno)
             gt_idx = gt_pos = None
             if "gt_keypoints" in row:
                 gt_idx, gt_pos = _parse_id_pos(row["gt_keypoints"], template, path, lineno)
@@ -308,15 +313,14 @@ def read_estimates(path, template):
             last_frame = idx
             H = row.get("homography")
             if H is not None:
-                try:
-                    H = np.array(H, dtype=float).reshape(3, 3)
-                except (TypeError, ValueError) as e:
-                    raise FormatError(f"homography must be a 3x3 matrix: {e}",
-                                      path=path, line=lineno) from None
+                H = _parse_homography(H, "homography", path, lineno)
             k_idx, k_pos = _parse_id_pos(row.get("keypoints", []), template, path, lineno)
+            flags = row.get("flags", [])
+            if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+                raise FormatError("flags must be a list of strings", path=path, line=lineno)
             out.append(FrameEstimate(
                 frame_index=idx, homography=H, keypoint_ids=k_idx,
-                keypoint_positions=k_pos, flags=tuple(row.get("flags", []))))
+                keypoint_positions=k_pos, flags=tuple(flags)))
         if header is None:
             raise FormatError("empty estimates file", path=path)
     return header, out

@@ -4,6 +4,7 @@ import numpy as np
 
 from fieldreg import ImageDims, standard_soccer_template
 from fieldreg.geometry import dlt_homography
+from numpy_polygons import ensure_ccw
 
 TEMPLATE = standard_soccer_template()
 DIMS = ImageDims(1280, 720)
@@ -37,6 +38,17 @@ def random_homography(rng, spread=0.3):
         H[2, 2] = 1.0
         if abs(np.linalg.det(H)) > 0.1:
             return H
+
+
+def points_in_convex_polygon(points, vertices):
+    """Boolean mask of points inside (or on) a convex polygon."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    v = ensure_ccw(vertices)
+    e = np.roll(v, -1, axis=0) - v
+    rel_x = P[:, None, 0] - v[None, :, 0]
+    rel_y = P[:, None, 1] - v[None, :, 1]
+    cross = e[None, :, 0] * rel_y - e[None, :, 1] * rel_x
+    return np.all(cross >= 0.0, axis=1)
 
 
 def fd_jacobian(f, x, step=1e-6):

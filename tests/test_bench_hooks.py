@@ -3,9 +3,10 @@
 bench/tracing.py wraps fieldreg functions under the names by which
 fieldreg.pipeline looks them up, and reads their counts from positional
 arguments and results.  A renamed function, or a changed positional
-signature, would make the benchmark's per-layer metrics read null.  This
-test only reads bench/; it runs the tracer around a short filter run with
-estimated motion, the way the stream workload does.
+signature, would make the benchmark's per-layer metrics read null.  Both
+tests only read bench/.  One runs the tracer around a short filter run with
+estimated motion, the way the stream workload does; the other around
+`fieldreg evaluate` on the golden files, the way the offline workload does.
 """
 
 import pathlib
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 from fieldreg import pipeline
+from fieldreg.cli import main as cli_main
 from fieldreg.defaults import default_covariance_bank
 from fieldreg.pipeline import FilterOptions
-from fieldreg.seqio import SequenceFrame
+from fieldreg.seqio import SequenceFrame, read_report
 from fieldreg.simulator import SimConfig, generate_sequence, pan_motion_script
 from helpers import DIMS, TEMPLATE, view_homography
 
@@ -76,4 +78,46 @@ def test_tracer_spans_cover_the_filter_layers(tracing):
                  "keypoint_filter.lkf_update_ms", "motion.estimate_global_motion_ms",
                  "homography_filter.active_per_update", "motion.inlier_frac",
                  "pipeline.iter_filter_self_ms"):
+        assert metrics[name]["value"] > 0, name
+
+
+EVALUATE_LAYERS = ("metrics.projection_error", "metrics.iou_entire",
+                   "metrics.iou_entire_image", "metrics.iou_part",
+                   "metrics.reprojection_error")
+
+
+def test_tracer_spans_cover_the_evaluate_layers(tracing, tmp_path):
+    data = pathlib.Path(__file__).parent / "data"
+    report = tmp_path / "report.json"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli_main(["evaluate", "--input", str(data / "golden_estimates.jsonl"),
+                         "--truth", str(data / "golden_sequence.jsonl"),
+                         "--projection-samples", "100", "--output", str(report)]) == 0
+    finally:
+        tracer.uninstall()
+    assert not tracer.missing
+    scored = read_report(report)["counts"]["scored"]
+    assert scored == 10
+
+    calls = {}
+    for layer, _, _, _, _, error in tracer.spans:
+        assert error is None, layer
+        calls[layer] = calls.get(layer, 0) + 1
+    for layer in EVALUATE_LAYERS:
+        assert calls.get(layer) == scored, layer
+    # nrmse twice, precision_recall and average_precision once per frame
+    assert calls.get("metrics.keypoint_metrics") == 4 * scored
+    # three IoUs and the projection error's visible pitch
+    assert calls.get("geometry.clip_polygon") == 4 * scored
+    assert calls.get("pipeline.run_evaluate") == 1
+
+    metrics = tracer.layer_metrics(1, scored, 1)
+    for name in [f"{layer}_ms" for layer in EVALUATE_LAYERS] + [
+            "metrics.keypoint_metrics_ms", "geometry.clip_polygon_us",
+            "geometry.clip_polygon_calls", "pipeline.run_evaluate_self_ms",
+            "seqio.read_estimates_ms_per_frame", "seqio.read_sequence_ms_per_frame",
+            "seqio.write_report_ms"]:
+        assert metrics[name]["value"] is not None, name
         assert metrics[name]["value"] > 0, name

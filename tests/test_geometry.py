@@ -22,13 +22,12 @@ from fieldreg.geometry import (
     invert_homography,
     normalize_homogeneous,
     normalize_homography,
-    points_in_convex_polygon,
     polygon_area,
     ransac_homography,
     reprojection_distances,
     signed_area,
 )
-from helpers import TEMPLATE, random_homography, view_homography
+from helpers import TEMPLATE, points_in_convex_polygon, random_homography, view_homography
 
 
 def test_apply_homography_worked_example():
@@ -230,50 +229,61 @@ def test_minimal_solver_matches_one_by_one_solves():
     assert 0 < singular < len(samples)
 
 
+def square(x0, y0, side):
+    return [(x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)]
+
+
 def test_signed_area_orientation():
-    square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
-    assert signed_area(square) == pytest.approx(4.0, abs=0)
-    assert signed_area(square[::-1]) == pytest.approx(-4.0, abs=0)
-    assert polygon_area(square[::-1]) == pytest.approx(4.0, abs=0)
-    flipped = ensure_ccw(square[::-1])
-    assert signed_area(flipped) == pytest.approx(4.0, abs=0)
+    sq = square(0.0, 0.0, 2.0)
+    assert signed_area(sq) == 4.0
+    assert signed_area(sq[::-1]) == -4.0
+    assert polygon_area(sq[::-1]) == 4.0
+    flipped = ensure_ccw(sq[::-1])
+    assert flipped == sq
+    assert signed_area(flipped) == 4.0
+    assert signed_area(sq[:2]) == 0.0
 
 
 def test_convex_polygon_validation():
-    square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
-    assert np.array_equal(convex_polygon(square), square)
-    bowtie = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
+    sq = square(0.0, 0.0, 2.0)
+    assert convex_polygon(sq) == sq
+    assert convex_polygon(sq[::-1]) == sq
+    bowtie = [(0.0, 0.0), (2.0, 2.0), (2.0, 0.0), (0.0, 2.0)]
     with pytest.raises(ValueError):
         convex_polygon(bowtie)
     with pytest.raises(ValueError):
-        convex_polygon(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 0.0]]))
+        convex_polygon([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 0.0)])
+    with pytest.raises(ValueError, match="non-finite"):
+        convex_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, float("nan"))])
+    with pytest.raises(ValueError):
+        convex_polygon(sq[:2])
 
 
 def test_clip_polygon_overlapping_squares():
-    a = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
-    b = a + 2.0
+    a = square(0.0, 0.0, 4.0)
+    b = square(2.0, 2.0, 4.0)
     out = clip_polygon(a, b)
     assert polygon_area(out) == pytest.approx(4.0, abs=1e-12)
-    assert set(map(tuple, out)) == {(2.0, 2.0), (4.0, 2.0), (4.0, 4.0), (2.0, 4.0)}
+    assert set(out) == {(2.0, 2.0), (4.0, 2.0), (4.0, 4.0), (2.0, 4.0)}
 
 
 def test_clip_polygon_contained_and_disjoint():
-    outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
-    inner = np.array([[2.0, 2.0], [3.0, 2.0], [3.0, 3.0], [2.0, 3.0]])
+    outer = square(0.0, 0.0, 10.0)
+    inner = square(2.0, 2.0, 1.0)
     assert polygon_area(clip_polygon(inner, outer)) == pytest.approx(1.0, abs=1e-12)
     assert polygon_area(clip_polygon(outer, inner)) == pytest.approx(1.0, abs=1e-12)
-    far = inner + 100.0
-    assert clip_polygon(outer, far).shape[0] == 0
+    far = square(102.0, 102.0, 1.0)
+    assert clip_polygon(outer, far) == []
 
 
 def test_clip_polygon_triangle_square():
     # triangle (0,0) (4,0) (0,4) clipped to unit square: area 1 - 0.5*0 ... the
     # hypotenuse x+y=4 misses the square entirely, so the square survives whole
-    tri = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-    sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tri = [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]
+    sq = square(0.0, 0.0, 1.0)
     assert polygon_area(clip_polygon(sq, tri)) == pytest.approx(1.0, abs=1e-12)
     # shrink the triangle so the cut goes through: x+y <= 1 leaves half the square
-    tri2 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tri2 = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     assert polygon_area(clip_polygon(sq, tri2)) == pytest.approx(0.5, abs=1e-12)
 
 

@@ -14,7 +14,6 @@ from fieldreg.field import ImageDims
 from fieldreg.geometry import (
     clip_polygon,
     dlt_homography,
-    points_in_convex_polygon,
     polygon_area,
 )
 from fieldreg.metrics import (
@@ -30,7 +29,7 @@ from fieldreg.metrics import (
     projection_error,
     reprojection_error,
 )
-from helpers import DIMS, TEMPLATE, view_homography
+from helpers import DIMS, TEMPLATE, points_in_convex_polygon, view_homography
 
 
 def field_translation(dx, dy):
@@ -160,29 +159,39 @@ def test_projection_error_rejects_nonpositive_sample_counts():
 # covers two image corners, so the visible pitch is a 7-gon.
 TILTED_VIEW = dlt_homography(TEMPLATE.corners(), np.array(
     [[150.0, 90.0], [1450.0, -60.0], [1350.0, 860.0], [-200.0, 640.0]]))
-TILTED_VISIBLE = clip_polygon(_mapped_quad(TILTED_VIEW, TEMPLATE.corners()), DIMS.corners())
+
+
+def visible_pitch(h_gt):
+    """The image rectangle clipped to the ground truth's image of the field."""
+    field = _mapped_quad(h_gt.tolist(), TEMPLATE.corners().tolist())
+    return clip_polygon(field, DIMS.corners().tolist())
+
+
+TILTED_VISIBLE = visible_pitch(TILTED_VIEW)
 
 
 def test_polygon_sampler_count_containment_and_seed():
-    assert TILTED_VISIBLE.shape == (7, 2)
+    assert len(TILTED_VISIBLE) == 7
     # clockwise input exercises the winding fix-up
     poly = TILTED_VISIBLE[::-1]
-    pts = _sample_convex_polygon(poly, 3000, np.random.default_rng(11))
-    assert pts.shape == (3000, 2)
+    x, y = _sample_convex_polygon(poly, 3000, np.random.default_rng(11))
+    assert x.shape == y.shape == (3000,)
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    pts = np.column_stack([x, y])
     assert points_in_convex_polygon(pts, poly).all()
     again = _sample_convex_polygon(poly, 3000, np.random.default_rng(11))
-    assert np.array_equal(pts, again)
+    assert np.array_equal(pts, np.column_stack(again))
     other = _sample_convex_polygon(poly, 3000, np.random.default_rng(12))
-    assert not np.array_equal(pts, other)
+    assert not np.array_equal(pts, np.column_stack(other))
 
 
 def test_polygon_sampler_triangle_shares_follow_area():
     # irregular hexagon whose fan triangles differ in area by up to 4.7x
-    poly = np.array([[0.0, 0.0], [400.0, -50.0], [900.0, 100.0], [1000.0, 500.0],
-                     [600.0, 700.0], [100.0, 450.0]])
+    poly = [(0.0, 0.0), (400.0, -50.0), (900.0, 100.0), (1000.0, 500.0),
+            (600.0, 700.0), (100.0, 450.0)]
     n = 40000
-    pts = _sample_convex_polygon(poly, n, np.random.default_rng(3))
-    tris = [poly[[0, k, k + 1]] for k in range(1, poly.shape[0] - 1)]
+    pts = np.column_stack(_sample_convex_polygon(poly, n, np.random.default_rng(3)))
+    tris = [[poly[0], poly[k], poly[k + 1]] for k in range(1, len(poly) - 1)]
     areas = np.array([polygon_area(t) for t in tris])
     share = areas / areas.sum()
     counts = np.array([points_in_convex_polygon(pts, t).sum() for t in tris])
@@ -200,8 +209,8 @@ def test_projection_error_sliver_translation_oracle():
     h_gt = np.eye(3)
     h_gt[:2, :2] = lin
     h_gt[:2, 2] = np.array([640.0, 360.0]) - lin @ np.array([52.5, 34.0])
-    visible = clip_polygon(_mapped_quad(h_gt, TEMPLATE.corners()), DIMS.corners())
-    box = visible.max(axis=0) - visible.min(axis=0)
+    visible = visible_pitch(h_gt)
+    box = np.ptp(np.array(visible), axis=0)
     assert polygon_area(visible) < 1e-4 * box[0] * box[1]
     for dx, dy in ((0.5, 0.0), (0.3, -0.4)):
         h_pred = h_gt @ field_translation(dx, dy)
@@ -217,7 +226,7 @@ def test_projection_error_matches_quadrature():
     h_gt = TILTED_VIEW
     h_pred = h_gt @ np.array([[1.01, 0.002, 0.4], [-0.003, 0.99, -0.8],
                               [1e-5, -2e-5, 1.0]])
-    lo, hi = TILTED_VISIBLE.min(axis=0), TILTED_VISIBLE.max(axis=0)
+    lo, hi = np.min(TILTED_VISIBLE, axis=0), np.max(TILTED_VISIBLE, axis=0)
     g = (np.arange(400) + 0.5) / 400
     gx, gy = np.meshgrid(lo[0] + g * (hi[0] - lo[0]), lo[1] + g * (hi[1] - lo[1]))
     grid = np.column_stack([gx.ravel(), gy.ravel()])

@@ -348,6 +348,62 @@ def test_misshapen_homography_is_a_format_error(tmp_path):
     assert "homography" in _format_error(read_estimates, path, 4)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_estimate_homography_is_a_format_error(tmp_path, value):
+    path, rows = _estimates_lines(tmp_path)
+    rows[3]["homography"][1][0] = value
+    _write_rows(path, rows)
+    assert "homography" in _format_error(read_estimates, path, 4)
+
+
+def test_estimate_homography_is_normalized_or_a_format_error(tmp_path):
+    path, rows = _estimates_lines(tmp_path)
+    H = np.array(rows[2]["homography"])
+    rows[2]["homography"] = (4.0 * H).tolist()
+    _write_rows(path, rows)
+    _, ests = read_estimates(path, TEMPLATE)
+    assert np.array_equal(ests[1].homography, H)
+    rows[3]["homography"][2][2] = 0.0
+    _write_rows(path, rows)
+    assert "homography" in _format_error(read_estimates, path, 4)
+
+
+@pytest.mark.parametrize("flags", [5, "init", [[1]], ["init", None]])
+def test_estimate_flags_must_be_a_list_of_strings(tmp_path, flags):
+    path, rows = _estimates_lines(tmp_path)
+    rows[2]["flags"] = flags
+    _write_rows(path, rows)
+    assert "flags" in _format_error(read_estimates, path, 3)
+
+
+@pytest.mark.parametrize("which, key", [("golden_estimates.jsonl", "homography"),
+                                        ("golden_sequence.jsonl", "gt_homography")])
+def test_cli_evaluate_flags_a_singular_homography_degenerate(tmp_path, which, key):
+    # the golden run with one frame's estimate or ground truth made singular
+    data = pathlib.Path(__file__).parent / "data"
+    inputs = {name: data / name for name in ("golden_estimates.jsonl", "golden_sequence.jsonl")}
+    rows = [json.loads(line) for line in (data / which).read_text().splitlines()]
+    H = np.array(rows[3][key])
+    H[:, 1] = 2.0 * H[:, 0]
+    rows[3][key] = H.tolist()
+    inputs[which] = tmp_path / which
+    _write_rows(inputs[which], rows)
+    rep = str(tmp_path / "report.json")
+    assert cli_main(["evaluate", "--input", str(inputs["golden_estimates.jsonl"]),
+                     "--truth", str(inputs["golden_sequence.jsonl"]), "--seed", "5",
+                     "--projection-samples", "400", "--output", rep]) == 0
+    doc = read_report(rep)
+    golden = read_report(data / "golden_report.json")
+    assert doc["counts"]["degenerate_projection"] == 1
+    assert doc["counts"]["scored"] == golden["counts"]["scored"] - 1
+    for got, want in zip(doc["frames"], golden["frames"]):
+        if got["frame"] == rows[3]["frame"]:
+            assert got == {**{k: None for k in want}, "frame": want["frame"],
+                           "flags": ["degenerate_projection"]}
+        else:
+            assert got == want
+
+
 def _sequence_rows(tmp_path):
     path = tmp_path / "seq.jsonl"
     write_sequence(path, SequenceHeader("seq", DIMS), sim_frames(n_frames=3), TEMPLATE)
