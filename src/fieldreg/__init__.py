@@ -116,7 +116,6 @@ from .seqio import (
 )
 from .simulator import (
     SimConfig,
-    SimFrame,
     SimNoise,
     generate_sequence,
     matched_bank,

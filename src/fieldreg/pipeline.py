@@ -103,7 +103,7 @@ def _resolve_motion(frame, options):
             return frame.motion, []
         return AffineSimilarity.identity(), ["identity_motion_fallback"]
     # estimate: robust fit over the frame's flow correspondences
-    flow = getattr(frame, "flow", None)
+    flow = frame.flow
     if flow is None or flow[0].shape[0] < 2:
         return AffineSimilarity.identity(), ["identity_motion_fallback"]
     try:

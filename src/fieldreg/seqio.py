@@ -18,6 +18,7 @@ from .field import FieldTemplate, ImageDims
 from .geometry import normalize_homography
 from .keypoint_filter import MeasurementFrame
 from .motion import AffineSimilarity
+from .pipeline import FrameEstimate
 
 SEQUENCE_KIND = "sequence"
 ESTIMATES_KIND = "homography_estimates"
@@ -42,11 +43,51 @@ def _load_json(path):
         raise FormatError(f"invalid JSON: {e}", path=path) from None
 
 
-def _expect_kind(doc, kind, path):
+def _expect_kind(doc, kind, path, line=None):
     if not isinstance(doc, dict) or doc.get("kind") != kind:
-        raise FormatError(f"expected a {kind!r} document", path=path)
-    if doc.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {doc.get('version')!r}", path=path)
+        raise FormatError(f"expected a {kind!r} document", path=path, line=line)
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"unsupported version {version!r}", path=path, line=line)
+
+
+def _int(value, key, path, line=None):
+    """value if it is a JSON integer (an int, not a bool), else a FormatError."""
+    if type(value) is not int:
+        raise FormatError(f"{key} must be an integer, got {value!r:.40}", path=path, line=line)
+    return value
+
+
+def _finite(value, key, shape, path, line=None):
+    """A finite float array reshaped to shape, or a FormatError naming key."""
+    try:
+        a = np.array(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"bad {key}: {e}", path=path, line=line) from None
+    if not np.isfinite(a).all():
+        raise FormatError(f"non-finite {key} value", path=path, line=line)
+    return a
+
+
+def _id_xy(entries, key, path, line=None):
+    """Raw ids and (K, 2) positions of an [id, x, y] list.
+
+    Ids must be unique JSON integers, and x, y finite numbers.
+    """
+    a = None
+    if isinstance(entries, list):
+        try:
+            a = np.array(entries) if entries else np.empty((0, 3))
+        except ValueError:      # ragged
+            pass
+    if a is None or a.ndim != 2 or a.shape[1] != 3 or a.dtype.kind not in "if":
+        raise FormatError(f"{key} must be a list of [id, x, y]", path=path, line=line)
+    ids = [e[0] for e in entries]
+    if not all(type(i) is int for i in ids):
+        raise FormatError(f"{key} ids must be integers", path=path, line=line)
+    if len(set(ids)) != len(ids):
+        raise FormatError(f"duplicate ids in {key}", path=path, line=line)
+    return ids, _finite(a[:, 1:], key, (-1, 2), path, line)
 
 
 # -- field templates ---------------------------------------------------------
@@ -70,16 +111,14 @@ def read_template(path):
     doc = _load_json(path)
     _expect_kind(doc, TEMPLATE_KIND, path)
     try:
-        kps = doc["keypoints"]
-        ids = [int(k[0]) for k in kps]
-        pos = [[float(k[1]), float(k[2])] for k in kps]
-        return FieldTemplate(ids=np.array(ids), positions=np.array(pos),
+        ids, pos = _id_xy(doc["keypoints"], "keypoints", path)
+        return FieldTemplate(ids=np.array(ids), positions=pos,
                              width_m=float(doc["width_m"]), height_m=float(doc["height_m"]))
-    except (KeyError, IndexError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad template document: {e}", path=path) from None
 
 
-# -- sequences ---------------------------------------------------------------
+# -- sequences and estimates -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -90,7 +129,7 @@ class SequenceHeader:
 
 @dataclass(frozen=True)
 class SequenceFrame:
-    """One frame of an input sequence, ids already canonical."""
+    """One frame of a sequence, ids already canonical; the simulator's output too."""
 
     frame_index: int
     measurements: MeasurementFrame
@@ -106,17 +145,20 @@ def _id_pos_list(ids, positions, template):
     return [[int(i), float(p[0]), float(p[1])] for i, p in zip(raw, np.atleast_2d(positions))]
 
 
+def _write_header(f, kind, header):
+    f.write(json.dumps({
+        "kind": kind,
+        "version": FORMAT_VERSION,
+        "sequence_id": header.sequence_id,
+        "width_px": int(header.dims.width_px),
+        "height_px": int(header.dims.height_px),
+    }) + "\n")
+
+
 def write_sequence(path, header, frames, template):
-    """frames: iterable of SequenceFrame or simulator SimFrame (same fields)."""
+    """frames: iterable of SequenceFrame."""
     with open(path, "w", encoding="utf-8") as f:
-        head = {
-            "kind": SEQUENCE_KIND,
-            "version": FORMAT_VERSION,
-            "sequence_id": header.sequence_id,
-            "width_px": int(header.dims.width_px),
-            "height_px": int(header.dims.height_px),
-        }
-        f.write(json.dumps(head) + "\n")
+        _write_header(f, SEQUENCE_KIND, header)
         for fr in frames:
             row = {
                 "frame": int(fr.frame_index),
@@ -125,9 +167,8 @@ def write_sequence(path, header, frames, template):
             }
             if fr.motion is not None:
                 row["motion"] = [float(v) for v in fr.motion.params()]
-            flow = getattr(fr, "flow", None)
-            if flow is not None:
-                prev, curr = flow
+            if fr.flow is not None:
+                prev, curr = fr.flow
                 row["flow"] = [[float(a), float(b), float(c), float(d)]
                                for (a, b), (c, d) in zip(np.atleast_2d(prev), np.atleast_2d(curr))]
             if fr.gt_homography is not None:
@@ -137,12 +178,48 @@ def write_sequence(path, header, frames, template):
             f.write(json.dumps(row) + "\n")
 
 
-def _parse_id_pos(entries, template, path, line):
-    try:
-        raw_ids = [int(e[0]) for e in entries]
-        pos = np.array([[float(e[1]), float(e[2])] for e in entries]).reshape(-1, 2)
-    except (IndexError, TypeError, ValueError) as e:
-        raise FormatError(f"bad [id, x, y] entry: {e}", path=path, line=line) from None
+def _frame_rows(path, kind):
+    """Yield a JSONL file's SequenceHeader, then (line, frame, row) per frame row.
+
+    Owns what the sequence and estimates readers share: blank lines, JSON
+    errors, the header, and the strictly increasing integer 'frame'.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        header = None
+        last = None
+        for line, raw in enumerate(f, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                row = json.loads(raw)
+            except json.JSONDecodeError as e:
+                raise FormatError(f"invalid JSON: {e}", path=path, line=line) from None
+            if header is None:
+                _expect_kind(row, kind, path, line)
+                try:
+                    header = SequenceHeader(
+                        sequence_id=str(row["sequence_id"]),
+                        dims=ImageDims(_int(row["width_px"], "width_px", path, line),
+                                       _int(row["height_px"], "height_px", path, line)))
+                except (KeyError, ValueError) as e:
+                    raise FormatError(f"bad {kind} header: {e}", path=path, line=line) from None
+                yield header
+                continue
+            if not isinstance(row, dict):
+                raise FormatError("a frame row must be a JSON object", path=path, line=line)
+            frame = _int(row.get("frame"), "frame", path, line)
+            if last is not None and frame <= last:
+                raise FormatError(f"frame indices must strictly increase "
+                                  f"({frame} after {last})", path=path, line=line)
+            last = frame
+            yield line, frame, row
+        if header is None:
+            raise FormatError(f"empty {kind} file", path=path)
+
+
+def _parse_id_pos(entries, key, template, path, line):
+    raw_ids, pos = _id_xy(entries, key, path, line)
     try:
         idx = template.index_of(raw_ids)
     except UnknownKeypointId as e:
@@ -153,89 +230,53 @@ def _parse_id_pos(entries, template, path, line):
 def _parse_homography(value, key, path, line):
     """A finite 3x3 matrix normalized to h33 = 1, or a FormatError naming key."""
     try:
-        H = np.array(value, dtype=float).reshape(3, 3)
-        if not np.isfinite(H).all():
-            raise ValueError("non-finite entry")
-        return normalize_homography(H)
-    except (TypeError, ValueError, SingularMatrix) as e:
+        return normalize_homography(_finite(value, key, (3, 3), path, line))
+    except SingularMatrix as e:
         raise FormatError(f"bad {key}: {e}", path=path, line=line) from None
 
 
 def iter_sequence(path, template):
     """Yield SequenceHeader first, then SequenceFrame per line, streaming."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = None
-        last_frame = None
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
+    rows = _frame_rows(path, SEQUENCE_KIND)
+    yield next(rows)
+    for line, idx, row in rows:
+        m_idx, m_pos = _parse_id_pos(row.get("measurements", []), "measurements",
+                                     template, path, line)
+        motion = None
+        if "motion" in row:
+            p = row["motion"]
+            if not isinstance(p, list) or len(p) != 4:
+                raise FormatError("motion must be [a, b, tx, ty]", path=path, line=line)
             try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"invalid JSON: {e}", path=path, line=lineno) from None
-            if header is None:
-                _expect_kind(row, SEQUENCE_KIND, path)
-                try:
-                    header = SequenceHeader(
-                        sequence_id=str(row["sequence_id"]),
-                        dims=ImageDims(int(row["width_px"]), int(row["height_px"])))
-                except (KeyError, TypeError, ValueError) as e:
-                    raise FormatError(f"bad sequence header: {e}", path=path, line=lineno) from None
-                yield header
-                continue
-            try:
-                idx = int(row["frame"])
-            except (KeyError, TypeError, ValueError):
-                raise FormatError("frame row needs an integer 'frame'", path=path, line=lineno) from None
-            if last_frame is not None and idx <= last_frame:
-                raise FormatError(f"frame indices must strictly increase "
-                                  f"({idx} after {last_frame})", path=path, line=lineno)
-            last_frame = idx
-
-            m_idx, m_pos = _parse_id_pos(row.get("measurements", []), template, path, lineno)
-            motion = None
-            if "motion" in row:
-                p = row["motion"]
-                if not isinstance(p, list) or len(p) != 4:
-                    raise FormatError("motion must be [a, b, tx, ty]", path=path, line=lineno)
-                try:
-                    motion = AffineSimilarity(*[float(v) for v in p])
-                except (TypeError, ValueError) as e:
-                    raise FormatError(f"bad motion: {e}", path=path, line=lineno) from None
-            flow = None
-            if "flow" in row:
-                try:
-                    arr = np.array(row["flow"], dtype=float).reshape(-1, 4)
-                except (TypeError, ValueError) as e:
-                    raise FormatError(f"bad flow rows: {e}", path=path, line=lineno) from None
-                if not np.isfinite(arr).all():
-                    raise FormatError("non-finite flow value", path=path, line=lineno)
-                flow = (arr[:, :2].copy(), arr[:, 2:].copy())
-            gt_h = None
-            if "gt_homography" in row:
-                gt_h = _parse_homography(row["gt_homography"], "gt_homography", path, lineno)
-            gt_idx = gt_pos = None
-            if "gt_keypoints" in row:
-                gt_idx, gt_pos = _parse_id_pos(row["gt_keypoints"], template, path, lineno)
-            yield SequenceFrame(
-                frame_index=idx,
-                measurements=MeasurementFrame(idx, m_idx, m_pos),
-                motion=motion,
-                flow=flow,
-                gt_homography=gt_h,
-                gt_ids=gt_idx,
-                gt_positions=gt_pos,
-            )
-        if header is None:
-            raise FormatError("empty sequence file", path=path)
+                motion = AffineSimilarity(*_finite(p, "motion", 4, path, line).tolist())
+            except ValueError as e:
+                raise FormatError(f"bad motion: {e}", path=path, line=line) from None
+        flow = None
+        if "flow" in row:
+            arr = _finite(row["flow"], "flow", (-1, 4), path, line)
+            flow = (arr[:, :2].copy(), arr[:, 2:].copy())
+        gt_h = None
+        if "gt_homography" in row:
+            gt_h = _parse_homography(row["gt_homography"], "gt_homography", path, line)
+        gt_idx = gt_pos = None
+        if "gt_keypoints" in row:
+            gt_idx, gt_pos = _parse_id_pos(row["gt_keypoints"], "gt_keypoints",
+                                           template, path, line)
+        yield SequenceFrame(
+            frame_index=idx,
+            measurements=MeasurementFrame(idx, m_idx, m_pos),
+            motion=motion,
+            flow=flow,
+            gt_homography=gt_h,
+            gt_ids=gt_idx,
+            gt_positions=gt_pos,
+        )
 
 
 def read_sequence(path, template):
     """(SequenceHeader, list of SequenceFrame)."""
-    it = iter_sequence(path, template)
-    header = next(it)
-    return header, list(it)
+    header, *frames = iter_sequence(path, template)
+    return header, frames
 
 
 def training_records(frames):
@@ -258,19 +299,9 @@ def training_records(frames):
     return out
 
 
-# -- estimates ---------------------------------------------------------------
-
-
 def write_estimates(path, header, estimates, template):
     with open(path, "w", encoding="utf-8") as f:
-        head = {
-            "kind": ESTIMATES_KIND,
-            "version": FORMAT_VERSION,
-            "sequence_id": header.sequence_id,
-            "width_px": int(header.dims.width_px),
-            "height_px": int(header.dims.height_px),
-        }
-        f.write(json.dumps(head) + "\n")
+        _write_header(f, ESTIMATES_KIND, header)
         for est in estimates:
             row = {"frame": int(est.frame_index)}
             row["homography"] = None if est.homography is None else _matrix(est.homography)
@@ -280,49 +311,21 @@ def write_estimates(path, header, estimates, template):
 
 
 def read_estimates(path, template):
-    """(SequenceHeader, list of FrameEstimate-shaped rows)."""
-    from .pipeline import FrameEstimate  # local import to avoid a cycle
-
-    with open(path, "r", encoding="utf-8") as f:
-        header = None
-        out = []
-        last_frame = None
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"invalid JSON: {e}", path=path, line=lineno) from None
-            if header is None:
-                _expect_kind(row, ESTIMATES_KIND, path)
-                try:
-                    header = SequenceHeader(
-                        sequence_id=str(row["sequence_id"]),
-                        dims=ImageDims(int(row["width_px"]), int(row["height_px"])))
-                except (KeyError, TypeError, ValueError) as e:
-                    raise FormatError(f"bad estimates header: {e}", path=path, line=lineno) from None
-                continue
-            try:
-                idx = int(row["frame"])
-            except (KeyError, TypeError, ValueError):
-                raise FormatError("frame row needs an integer 'frame'", path=path, line=lineno) from None
-            if last_frame is not None and idx <= last_frame:
-                raise FormatError("frame indices must strictly increase", path=path, line=lineno)
-            last_frame = idx
-            H = row.get("homography")
-            if H is not None:
-                H = _parse_homography(H, "homography", path, lineno)
-            k_idx, k_pos = _parse_id_pos(row.get("keypoints", []), template, path, lineno)
-            flags = row.get("flags", [])
-            if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
-                raise FormatError("flags must be a list of strings", path=path, line=lineno)
-            out.append(FrameEstimate(
-                frame_index=idx, homography=H, keypoint_ids=k_idx,
-                keypoint_positions=k_pos, flags=tuple(flags)))
-        if header is None:
-            raise FormatError("empty estimates file", path=path)
+    """(SequenceHeader, list of FrameEstimate)."""
+    rows = _frame_rows(path, ESTIMATES_KIND)
+    header = next(rows)
+    out = []
+    for line, idx, row in rows:
+        H = row.get("homography")
+        if H is not None:
+            H = _parse_homography(H, "homography", path, line)
+        k_idx, k_pos = _parse_id_pos(row.get("keypoints", []), "keypoints", template, path, line)
+        flags = row.get("flags", [])
+        if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+            raise FormatError("flags must be a list of strings", path=path, line=line)
+        out.append(FrameEstimate(
+            frame_index=idx, homography=H, keypoint_ids=k_idx,
+            keypoint_positions=k_pos, flags=tuple(flags)))
     return header, out
 
 
@@ -374,7 +377,8 @@ def read_bank(path):
             pooled = np.array(sec["pooled"], dtype=float).reshape(k, k)
             blocks = {int(i): np.array(m, dtype=float).reshape(k, k)
                       for i, m in sec.get("per_id", {}).items()}
-            counts = {int(i): int(c) for i, c in sec.get("counts", {}).items()}
+            counts = {int(i): _int(c, f"{name} counts", path)
+                      for i, c in sec.get("counts", {}).items()}
             return blocks, pooled, counts
 
         kp_blocks, kp_pooled, kp_counts = section("keypoint_process", 2)
@@ -388,11 +392,12 @@ def read_bank(path):
             measurement_pooled=m_pooled,
             measurement_counts=m_counts,
             homography_process=np.array(doc["homography_process"], dtype=float).reshape(8, 8),
-            homography_process_samples=int(samples.get("homography_process", 0)),
+            homography_process_samples=_int(samples.get("homography_process", 0),
+                                            "samples", path),
             init_homography=np.array(doc["init_homography"], dtype=float).reshape(8, 8),
-            init_homography_samples=int(samples.get("init_homography", 0)),
+            init_homography_samples=_int(samples.get("init_homography", 0), "samples", path),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad covariance bank: {e}", path=path) from None
 
 

@@ -26,6 +26,7 @@ from .geometry import (
 )
 from .keypoint_filter import MeasurementFrame
 from .motion import AffineSimilarity
+from .seqio import SequenceFrame
 
 
 def _as_cov(name, value, shape):
@@ -97,16 +98,6 @@ class SimConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-@dataclass(frozen=True)
-class SimFrame:
-    frame_index: int
-    gt_homography: np.ndarray
-    gt_ids: np.ndarray          # canonical template indices of visible keypoints
-    gt_positions: np.ndarray    # (K, 2) exact projections
-    measurements: MeasurementFrame
-    motion: AffineSimilarity = None   # from the previous frame; None at frame 0
-
-
 def _visible(H, positions, dims, eps):
     den = homography_denominators(H, positions)
     front = den > eps
@@ -145,7 +136,7 @@ def pan_motion_script(n_frames, angle_amplitude=0.0015, scale_amplitude=0.001,
 
 
 def generate_sequence(config):
-    """Run the generative model; returns a list of SimFrame.
+    """Run the generative model; returns a list of SequenceFrame.
 
     Per-frame draw order is fixed (homography noise, field noise, dropout,
     measurement noise), so output is bit-identical for identical config and
@@ -189,13 +180,13 @@ def generate_sequence(config):
         if chol_m is not None and meas_idx.size:
             meas_pos = meas_pos + rng.standard_normal((meas_idx.size, 2)) @ chol_m.T
 
-        frames.append(SimFrame(
+        frames.append(SequenceFrame(
             frame_index=t,
+            measurements=MeasurementFrame(t, meas_idx, meas_pos),
+            motion=motion,
             gt_homography=H.copy(),
             gt_ids=vis_idx,
             gt_positions=vis_pos,
-            measurements=MeasurementFrame(t, meas_idx, meas_pos),
-            motion=motion,
         ))
     return frames
 

@@ -1,0 +1,139 @@
+"""Seeded mutations of the golden sequence and estimates files.
+
+Each case applies one mutation to one line: truncate it, delete or retype a
+key, reshape or duplicate a list entry, or put NaN or an infinity in place
+of a number.  Every CLI verb that reads the mutated file must then return 0,
+or return 1 with `error: <path>: line N: `; none may raise.  Every file a
+verb writes must be strict JSON, with no NaN or Infinity token.  The one
+other allowed failure is evaluate's cross-file FrameMismatch, which a
+changed frame index or sequence id can cause.  Standard library only.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import random
+import re
+
+import pytest
+
+from fieldreg.cli import main as cli_main
+
+DATA = pathlib.Path(__file__).parent / "data"
+SEQUENCE = DATA / "golden_sequence.jsonl"
+ESTIMATES = DATA / "golden_estimates.jsonl"
+SEEDS = range(200)
+
+RETYPED = [None, True, "x", 2.7, -1, [], {}, [1, 2], {"frame": 1}]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# the messages evaluate's FrameMismatch carries
+FRAME_MISMATCH = ("error: estimates are for sequence ", "error: prediction and truth frame sets")
+
+
+def _paths(value, keep, at=()):
+    """Paths to every part of a JSON value that keep() accepts, itself included."""
+    if keep(value):
+        yield at
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        yield from _paths(v, keep, at + (k,))
+
+
+def _get(value, at):
+    for k in at:
+        value = value[k]
+    return value
+
+
+def _set(value, at, new):
+    _get(value, at[:-1])[at[-1]] = new
+
+
+def mutate(lines, rng):
+    """The lines with one seeded mutation applied, and its description."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    row = json.loads(lines[i])
+    kind = rng.choice(["truncate", "delete", "retype", "reshape", "duplicate", "non-finite"])
+    lists = [at for at in _paths(row, lambda v: isinstance(v, list)) if at]
+    nonempty = [at for at in lists if _get(row, at)]
+    if kind == "truncate":
+        lines[i] = lines[i][:rng.randrange(len(lines[i]))]
+        return lines, f"line {i + 1}: truncate"
+    if kind in ("delete", "retype"):
+        key = rng.choice(sorted(row))
+        if kind == "delete":
+            del row[key]
+        else:
+            row[key] = rng.choice(RETYPED)
+        what = f"{kind} {key!r}"
+    elif kind == "reshape" and lists:
+        at = rng.choice(lists)
+        target = _get(row, at)
+        how = rng.choice(["drop", "append", "wrap"])
+        if how == "drop" and target:
+            target.pop(rng.randrange(len(target)))
+        elif how == "wrap":
+            _set(row, at, [target])
+        else:
+            target.append(0.5)
+        what = f"reshape {at} ({how})"
+    elif kind == "duplicate" and nonempty:
+        at = rng.choice(nonempty)
+        target = _get(row, at)
+        j = rng.randrange(len(target))
+        target.insert(j, json.loads(json.dumps(target[j])))
+        what = f"duplicate an entry of {at}"
+    else:
+        at = rng.choice(list(_paths(row, lambda v: type(v) in (int, float))))
+        _set(row, at, rng.choice(NON_FINITE))
+        what = f"non-finite at {at}"
+    lines[i] = json.dumps(row)
+    return lines, f"line {i + 1}: {what}"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+def _strict_json(path):
+    text = pathlib.Path(path).read_text()
+    docs = text.splitlines() if path.endswith(".jsonl") else [text]
+    for doc in docs:
+        json.loads(doc, parse_constant=_reject_constant)
+
+
+def _verbs(mutated, which):
+    """The verb runs that read the mutated file, without --output."""
+    evaluate = ["evaluate", "--projection-samples", "30"]
+    if which == "estimates":
+        return [evaluate + ["--input", mutated, "--truth", str(SEQUENCE)]]
+    return [["filter", "--input", mutated], ["baseline", "--input", mutated],
+            ["calibrate", "--input", mutated],
+            evaluate + ["--input", str(ESTIMATES), "--truth", mutated]]
+
+
+@pytest.mark.parametrize("which", ["sequence", "estimates"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_inputs_fail_cleanly(tmp_path, which, seed):
+    source = SEQUENCE if which == "sequence" else ESTIMATES
+    lines, what = mutate(source.read_text().splitlines(), random.Random(f"{which}/{seed}"))
+    mutated = str(tmp_path / source.name)
+    pathlib.Path(mutated).write_text("\n".join(lines) + "\n")
+    located = re.compile(rf"error: {re.escape(mutated)}: line \d+: ")
+    for argv in _verbs(mutated, which):
+        out = str(tmp_path / (argv[0] + (".jsonl" if argv[0] in ("filter", "baseline")
+                                         else ".json")))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = cli_main(argv + ["--output", out])
+        err = stderr.getvalue()
+        context = f"{what}; {argv[0]}: {err.strip()}"
+        if rc == 0:
+            _strict_json(out)
+            continue
+        assert rc == 1, context
+        assert located.match(err) or (argv[0] == "evaluate" and err.startswith(FRAME_MISMATCH)), \
+            context

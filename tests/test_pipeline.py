@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -23,6 +24,7 @@ from fieldreg.motion import AffineSimilarity
 from fieldreg.pipeline import (
     FilterOptions,
     FrameEstimate,
+    run_calibrate,
     run_evaluate,
     run_filter,
     run_ransac_baseline,
@@ -180,10 +182,7 @@ def test_baseline_insufficient_measurements():
 def test_evaluate_against_truth():
     frames = sim_frames(n_frames=10)
     preds = run_filter(frames, TEMPLATE, default_covariance_bank())
-    truth = [SequenceFrame(frame_index=f.frame_index, measurements=f.measurements,
-                           gt_homography=f.gt_homography, gt_ids=f.gt_ids,
-                           gt_positions=f.gt_positions) for f in frames]
-    report = run_evaluate(preds, truth, TEMPLATE, DIMS, projection_samples=200)
+    report = run_evaluate(preds, frames, TEMPLATE, DIMS, projection_samples=200)
     assert report.counts["frames"] == 10
     assert report.counts["scored"] == 10
     agg = report.aggregates
@@ -200,9 +199,6 @@ def test_evaluate_against_truth():
 
 def test_evaluate_counts_exclusions():
     frames = sim_frames(n_frames=4)
-    truth = [SequenceFrame(frame_index=f.frame_index, measurements=f.measurements,
-                           gt_homography=f.gt_homography, gt_ids=f.gt_ids,
-                           gt_positions=f.gt_positions) for f in frames]
     empty = np.empty(0, dtype=int)
     behind = np.linalg.inv(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.02, 0.0, 1.0]]))
     preds = [
@@ -213,7 +209,7 @@ def test_evaluate_counts_exclusions():
         FrameEstimate(3, frames[3].gt_homography, frames[3].measurements.ids,
                       frames[3].measurements.positions, ()),
     ]
-    report = run_evaluate(preds, truth, TEMPLATE, DIMS, projection_samples=100)
+    report = run_evaluate(preds, frames, TEMPLATE, DIMS, projection_samples=100)
     assert report.counts["pre_init"] == 1
     assert report.counts["degenerate_projection"] == 1
     assert report.counts["scored"] == 2
@@ -224,12 +220,9 @@ def test_evaluate_counts_exclusions():
 
 def test_evaluate_frame_mismatch():
     frames = sim_frames(n_frames=3)
-    truth = [SequenceFrame(frame_index=f.frame_index, measurements=f.measurements,
-                           gt_homography=f.gt_homography, gt_ids=f.gt_ids,
-                           gt_positions=f.gt_positions) for f in frames]
     preds = run_filter(frames, TEMPLATE, default_covariance_bank())
     with pytest.raises(FrameMismatch):
-        run_evaluate(preds[:-1], truth, TEMPLATE, DIMS)
+        run_evaluate(preds[:-1], frames, TEMPLATE, DIMS)
 
 
 def test_sequence_round_trip(tmp_path):
@@ -429,6 +422,76 @@ def test_non_finite_flow_or_homography_is_a_format_error(tmp_path, key, value):
     assert key in _format_error(read_sequence, path, 2)
 
 
+def _rows_of(which, tmp_path):
+    """(path, rows, reader) of a small written sequence or estimates file."""
+    if which == "sequence":
+        return (*_sequence_rows(tmp_path), read_sequence)
+    return (*_estimates_lines(tmp_path), read_estimates)
+
+
+@pytest.mark.parametrize("value", [float("inf"), 2.7, True, "2", None])
+@pytest.mark.parametrize("which, line, at", [
+    ("sequence", 1, ("width_px",)),
+    ("sequence", 3, ("frame",)),
+    ("sequence", 3, ("measurements", 0, 0)),
+    ("sequence", 3, ("gt_keypoints", 1, 0)),
+    ("estimates", 1, ("height_px",)),
+    ("estimates", 3, ("frame",)),
+    ("estimates", 3, ("keypoints", 0, 0)),
+])
+def test_integers_must_be_json_integers(tmp_path, which, line, at, value):
+    path, rows, reader = _rows_of(which, tmp_path)
+    target = rows[line - 1]
+    for k in at[:-1]:
+        target = target[k]
+    target[at[-1]] = value
+    _write_rows(path, rows)
+    assert at[0] in _format_error(reader, path, line)
+
+
+@pytest.mark.parametrize("which", ["sequence", "estimates"])
+@pytest.mark.parametrize("key, value", [("kind", "metrics_report"), ("version", 2),
+                                        ("version", True), ("version", 1.0)])
+def test_wrong_header_kind_or_version_names_the_line(tmp_path, which, key, value):
+    path, rows, reader = _rows_of(which, tmp_path)
+    rows[0][key] = value
+    _write_rows(path, rows)
+    _format_error(reader, path, 1)
+
+
+@pytest.mark.parametrize("value", [float("inf"), 2.7, True])
+def test_template_ids_and_bank_counts_must_be_json_integers(tmp_path, value):
+    tpl = tmp_path / "tpl.json"
+    write_template(TEMPLATE, tpl)
+    doc = json.loads(tpl.read_text())
+    doc["keypoints"][0][0] = value
+    tpl.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(tpl))}: keypoints"):
+        read_template(tpl)
+    bank = tmp_path / "bank.json"
+    doc = json.loads((GOLDEN / "golden_bank.json").read_text())
+    doc["measurement"]["counts"]["0"] = value
+    bank.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bank))}: measurement counts"):
+        read_bank(bank)
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "nan", "inf"])
+@pytest.mark.parametrize("which, key", [("sequence", "measurements"),
+                                        ("sequence", "gt_keypoints"),
+                                        ("estimates", "keypoints")])
+def test_id_xy_lists_reject_duplicate_ids_and_non_finite_positions(tmp_path, which, key,
+                                                                   fault):
+    path, rows, reader = _rows_of(which, tmp_path)
+    entries = rows[2][key]
+    if fault == "duplicate":
+        entries.append([entries[0][0], 1.0, 2.0])
+    else:
+        entries[1][2] = float(fault)
+    _write_rows(path, rows)
+    assert key in _format_error(reader, path, 3)
+
+
 def test_estimates_round_trip(tmp_path):
     frames = sim_frames(n_frames=5)
     ests = run_filter(frames, TEMPLATE, default_covariance_bank())
@@ -446,11 +509,7 @@ def test_estimates_round_trip(tmp_path):
 
 def test_bank_round_trip(tmp_path):
     frames = sim_frames(n_frames=25, noise=SimNoise(measurement=DEFAULT_MEASUREMENT))
-    seq = [SequenceFrame(frame_index=f.frame_index, measurements=f.measurements,
-                         motion=f.motion, gt_homography=f.gt_homography,
-                         gt_ids=f.gt_ids, gt_positions=f.gt_positions) for f in frames]
-    from fieldreg.pipeline import run_calibrate
-    bank = run_calibrate([training_records(seq)], TEMPLATE)
+    bank = run_calibrate([training_records(frames)], TEMPLATE)
     path = tmp_path / "bank.json"
     write_bank(bank, path)
     back = read_bank(path)
@@ -472,10 +531,7 @@ def test_bank_round_trip(tmp_path):
 def test_report_round_trip(tmp_path):
     frames = sim_frames(n_frames=4)
     preds = run_filter(frames, TEMPLATE, default_covariance_bank())
-    truth = [SequenceFrame(frame_index=f.frame_index, measurements=f.measurements,
-                           gt_homography=f.gt_homography, gt_ids=f.gt_ids,
-                           gt_positions=f.gt_positions) for f in frames]
-    report = run_evaluate(preds, truth, TEMPLATE, DIMS, projection_samples=100)
+    report = run_evaluate(preds, frames, TEMPLATE, DIMS, projection_samples=100)
     path = tmp_path / "report.json"
     write_report(report, path)
     doc = read_report(path)
