@@ -224,12 +224,9 @@ class CovarianceBank:
             meas[i] = self.measurement.get(rid, self.measurement_pooled)
         return NoiseConfig(process=proc, measurement=meas)
 
-    def homography_noise(self, field_process=None):
-        return HomographyNoiseConfig(
-            homography_process=self.homography_process,
-            init_cov=self.init_homography,
-            field_process=field_process,
-        )
+    def homography_noise(self):
+        return HomographyNoiseConfig(homography_process=self.homography_process,
+                                     init_cov=self.init_homography)
 
 
 def calibrate_bank(sequences, template, ransac=RansacParams(),

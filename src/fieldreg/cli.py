@@ -8,6 +8,7 @@ view corners) are config-file only.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -123,11 +124,13 @@ def _sim_noise(args, config):
             return SimNoise(measurement=DEFAULT_MEASUREMENT,
                             homography_process=FULL_NOISE_H_SCALE * DEFAULT_HOMOGRAPHY_PROCESS)
         raise ValueError(f"unknown noise preset {spec!r} (none, measurement, full)")
-    kw = {}
-    for key in ("measurement", "homography_process", "keypoint_process", "field_process"):
-        if key in spec:
-            kw[key] = np.array(spec[key], dtype=float)
-    return SimNoise(**kw)
+    if not isinstance(spec, dict):
+        raise ValueError(f"noise must be a preset name or an object, got {type(spec).__name__}")
+    keys = [f.name for f in dataclasses.fields(SimNoise)]
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown noise key {unknown[0]!r} (expected {', '.join(keys)})")
+    return SimNoise(**{key: np.array(value, dtype=float) for key, value in spec.items()})
 
 
 def _cmd_simulate(args):

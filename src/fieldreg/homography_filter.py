@@ -1,17 +1,13 @@
-"""Extended Kalman filter over the homography and the field-template keypoints.
+"""Extended Kalman filter over the homography of a static field template.
 
-State is (X0, Y0, ..., X_{N-1}, Y_{N-1}, h) with h the 8 column-stacked free
-homography parameters (h33 fixed at 1).  The predict step applies the global
+State is h, the 8 column-stacked free homography parameters (h33 fixed at
+1), with its 8x8 covariance; the field points are the template's exact
+coordinates and carry no uncertainty.  The predict step applies the global
 AffineSimilarity to the homography, exactly: the mean goes through the 3x3
 product A H, whose last-row structure leaves (h31, h32) bitwise unchanged.
 The update step treats the first-stage filter's posterior keypoint means as
 the measurement and its posterior covariance sub-block as the measurement
 noise, so the two stages stay probabilistically coupled.
-
-Under a static field (no field process) the field points are exact: their
-covariance rows are zero at every step, so the state stores only the 8x8
-homography covariance.  A field process makes every row live, and the state
-then carries the joint (2N + 8)-square covariance.
 """
 
 from dataclasses import dataclass, replace
@@ -53,53 +49,24 @@ def _check_square(name, arr, k):
 
 @dataclass(frozen=True)
 class HomographyNoiseConfig:
-    """Process noise for the joint field/homography state plus the init covariance."""
+    """Homography process noise plus the init covariance."""
 
     homography_process: np.ndarray       # (8, 8)
     init_cov: np.ndarray                 # (8, 8) covariance of the RANSAC init
-    field_process: np.ndarray = None     # (N, 2, 2); None means zero (static field)
 
     def __post_init__(self):
         object.__setattr__(self, "homography_process",
                            _check_square("homography_process", self.homography_process, 8))
         object.__setattr__(self, "init_cov", _check_square("init_cov", self.init_cov, 8))
-        if self.field_process is not None:
-            fp = np.asarray(self.field_process, dtype=float)
-            if fp.ndim != 3 or fp.shape[1:] != (2, 2):
-                raise DimensionMismatch(f"field_process must be (N, 2, 2), got {fp.shape}")
-            if not np.all(np.isfinite(fp)):
-                raise ValueError("non-finite entries in field_process")
-            if fp.size and np.max(np.abs(fp[:, 0, 1] - fp[:, 1, 0])) > 1e-9:
-                raise ValueError("field_process blocks must be symmetric")
-            # exact symmetry keeps the field part of every predicted covariance
-            # symmetric, so ekf_predict symmetrizes only the homography rows
-            object.__setattr__(self, "field_process", 0.5 * (fp + fp.transpose(0, 2, 1)))
-
-    def field_blocks(self, n):
-        """The (N, 2, 2) field process blocks, or None for a static field."""
-        if self.field_process is None:
-            return None
-        if self.field_process.shape[0] != n:
-            raise DimensionMismatch(
-                f"field_process covers {self.field_process.shape[0]} keypoints, state has {n}")
-        return self.field_process
 
 
 @dataclass(frozen=True)
 class HomographyFilterState:
-    """Field points, homography parameters and their covariance.
-
-    cov is the (8, 8) homography covariance under a static field, where the
-    field points carry no uncertainty and no correlation with h; under a
-    field process it is the joint (2N + 8)-square covariance of
-    (field, h), in stacked_mean order.  ekf_init picks the layout from the
-    noise, and ekf_predict widens a compact state on its first step under a
-    field process.
-    """
+    """Template field points, homography parameters and their 8x8 covariance."""
 
     field_mean: np.ndarray  # (2N,) template coordinates, meters
     h_mean: np.ndarray      # (8,) column-stacked homography parameters
-    cov: np.ndarray         # (8, 8), or (2N + 8, 2N + 8) under a field process
+    cov: np.ndarray         # (8, 8) homography covariance
 
     def __post_init__(self):
         fm = np.asarray(self.field_mean, dtype=float)
@@ -108,23 +75,13 @@ class HomographyFilterState:
         object.__setattr__(self, "field_mean", fm)
         object.__setattr__(self, "h_mean", hm)
         object.__setattr__(self, "cov", cov)
-        d = fm.shape[0] + 8
-        if (fm.ndim != 1 or fm.shape[0] % 2 or hm.shape != (8,)
-                or cov.shape not in ((8, 8), (d, d))):
+        if fm.ndim != 1 or fm.shape[0] % 2 or hm.shape != (8,) or cov.shape != (8, 8):
             raise DimensionMismatch(
                 f"inconsistent state shapes: field {fm.shape}, h {hm.shape}, cov {cov.shape}")
 
     @property
     def n(self):
         return self.field_mean.shape[0] // 2
-
-    @property
-    def joint(self):
-        """True when cov covers the field points as well as h."""
-        return self.cov.shape[0] != 8
-
-    def stacked_mean(self):
-        return np.concatenate([self.field_mean, self.h_mean])
 
     def field_points(self):
         return self.field_mean.reshape(-1, 2)
@@ -139,11 +96,8 @@ def ekf_init(frame, template, noise, ransac=RansacParams()):
     """Initialize from one frame: robust homography fit against the template.
 
     frame.ids are canonical template indices; needs >= 4 observations.  The
-    field part of the state starts at the template positions; the homography
-    part at the RANSAC estimate with the configured init covariance.  The
-    covariance is that 8x8 matrix under a static field, and the joint one,
-    with the field process blocks on its field diagonal, under a field
-    process.
+    field points are the template positions; the homography starts at the
+    RANSAC estimate with the configured init covariance.
 
     Raises InsufficientPoints and DegenerateConfiguration (which also covers
     a failed RANSAC consensus).
@@ -162,18 +116,10 @@ def ekf_init(frame, template, noise, ransac=RansacParams()):
     except NoConsensus as e:
         raise DegenerateConfiguration(f"no RANSAC consensus at init: {e}") from e
 
-    n = template.n
-    fb = noise.field_blocks(n)
-    if fb is None:
-        cov = noise.init_cov.copy()
-    else:
-        cov = np.zeros((2 * n + 8, 2 * n + 8))
-        _add_diagonal_blocks(cov, fb)
-        cov[2 * n:, 2 * n:] = noise.init_cov
     return HomographyFilterState(
         field_mean=template.positions.ravel().copy(),
         h_mean=homography_params(H0),
-        cov=cov,
+        cov=noise.init_cov.copy(),
     )
 
 
@@ -199,41 +145,16 @@ def ekf_predict(state, motion, noise):
 
     The homography mean is computed as the literal 3x3 product, so the
     predicted (h31, h32) equal their priors bitwise (A's last row is exactly
-    (0, 0, 1)).  The homography covariance becomes F P F^T + Q, with F the
-    8x8 transition, and is symmetrized.  A joint covariance goes through
-    blockdiag(I, F) by transforming only its 8 homography rows and columns,
-    and gains the field process on its field blocks; only the homography
-    rows and columns can lose symmetry, so only they are symmetrized.  A
-    compact state predicted under a field process is widened first.
+    (0, 0, 1)).  The covariance becomes F P F^T + Q, with F the 8x8
+    transition, and is symmetrized.
     """
     if not isinstance(motion, AffineSimilarity):
         raise TypeError(f"motion must be an AffineSimilarity, got {type(motion)!r}")
-    n = state.n
     H_new = motion.as_matrix() @ reconstruct_homography(state)
-    h_mean = homography_params(H_new)
     F = _transition_matrix(motion)
-    fb = noise.field_blocks(n)
-
-    if fb is None and not state.joint:
-        cov = F @ state.cov @ F.T
-        cov += noise.homography_process
-        return replace(state, h_mean=h_mean, cov=0.5 * (cov + cov.T))
-
-    h = slice(2 * n, 2 * n + 8)
-    if state.joint:
-        cov = state.cov.copy()
-    else:
-        cov = np.zeros((2 * n + 8, 2 * n + 8))
-        cov[h, h] = state.cov
-    cov[h] = F @ cov[h]
-    cov[:, h] = cov[:, h] @ F.T
-    if fb is not None:
-        _add_diagonal_blocks(cov, fb)
-    cov[h, h] += noise.homography_process
-    sym = 0.5 * (cov[h] + cov[:, h].T)
-    cov[h] = sym
-    cov[:, h] = sym.T
-    return replace(state, field_mean=state.field_mean.copy(), h_mean=h_mean, cov=cov)
+    cov = F @ state.cov @ F.T
+    cov += noise.homography_process
+    return replace(state, h_mean=homography_params(H_new), cov=0.5 * (cov + cov.T))
 
 
 def _projection_terms(state, active_idx, eps):
@@ -261,49 +182,26 @@ def predict_measurements(state, active_idx, eps=EPS_T):
     return _projection_terms(state, active_idx, eps)[3].T.copy()
 
 
-def _jacobian_terms(state, active_idx, eps, field=True):
-    """Projections (K, 2), homography columns (2K, 8) and field blocks (K, 2, 2).
-
-    One pass over the active keypoints gives everything the update needs;
-    measurement_jacobian spreads the same numbers over the full state.  The
-    field blocks are None unless field is true.
-    """
+def _jacobian_terms(state, active_idx, eps):
+    """Projections (K, 2) and the homography Jacobian (2K, 8), in one pass."""
     h = state.h_mean
     X, Y, D, uv = _projection_terms(state, active_idx, eps)
-    k = active_idx.size
-    Jf = None
-    if field:
-        Jf = np.empty((k, 2, 2))
-        Jf[:, :, 0] = ((h[0:2, None] - uv * h[2]) / D).T
-        Jf[:, :, 1] = ((h[3:5, None] - uv * h[5]) / D).T
-
     # row pairs (u, v) per keypoint; columns follow measurement_jacobian
-    Jh = np.zeros((k, 2, 8))
+    Jh = np.zeros((active_idx.size, 2, 8))
     Jh[:, 0, 0] = Jh[:, 1, 1] = X / D
     Jh[:, 0, 3] = Jh[:, 1, 4] = Y / D
     Jh[:, 0, 6] = Jh[:, 1, 7] = 1.0 / D
     Jh[:, :, 2] = (-uv * X / D).T
     Jh[:, :, 5] = (-uv * Y / D).T
-    return uv.T, Jh.reshape(2 * k, 8), Jf
-
-
-def _full_jacobian(n, active_idx, Jh, Jf):
-    k = active_idx.size
-    J = np.zeros((2 * k, 2 * n + 8))
-    J[:, 2 * n:] = Jh
-    J[:, :2 * n].reshape(k, 2, n, 2)[np.arange(k), :, active_idx, :] = Jf
-    return J
+    return uv.T, Jh.reshape(2 * active_idx.size, 8)
 
 
 def measurement_jacobian(state, active_idx, eps=EPS_T):
-    """Jacobian (2K, 2N + 8) of the projections w.r.t. the full state.
+    """Jacobian (2K, 8) of the projections w.r.t. the homography parameters.
 
-    Rows alternate u, v per active keypoint.  Nonzero columns are the active
-    keypoint's own (X, Y) and the 8 homography parameters; with
-    D = h31 X + h32 Y + 1:
+    Rows alternate u, v per active keypoint; columns follow h_mean's
+    column-stacked order.  With D = h31 X + h32 Y + 1:
 
-        du/dX = (h11 - u h31)/D        dv/dX = (h21 - v h31)/D
-        du/dY = (h12 - u h32)/D        dv/dY = (h22 - v h32)/D
         du/d(h11, h12, h13) = (X, Y, 1)/D         (v-row: h21, h22, h23)
         du/d(h31, h32) = -(u X, u Y)/D            (v-row: -(v X, v Y)/D)
 
@@ -311,8 +209,7 @@ def measurement_jacobian(state, active_idx, eps=EPS_T):
     """
     active_idx = np.asarray(active_idx, dtype=int)
     _check_active(active_idx, state.n)
-    _, Jh, Jf = _jacobian_terms(state, active_idx, eps)
-    return _full_jacobian(state.n, active_idx, Jh, Jf)
+    return _jacobian_terms(state, active_idx, eps)[1]
 
 
 def _innovation_bounds(JC, a, b, c, det):
@@ -413,15 +310,10 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     measurement noise.  An empty active set returns the state unchanged
     (pure-predict frame).
 
-    A compact state (static field) is corrected through the 2K x 8
-    homography Jacobian alone: its field points are exact, so they get a
-    zero gain and stay put.  A joint state uses the full 2K x (2N + 8)
-    Jacobian and corrects the field points too.
-
-    The update runs in information form, in the state dimension L (8 when
-    compact) rather than in the 2K of the measurement: P+ = (P^-1 + J^T
-    R^-1 J)^-1 through the Cholesky factors of P and of I + C^T J^T R^-1 J C,
-    which is symmetric positive semidefinite by construction.  The condition
+    The update runs in information form, in the state dimension 8 rather
+    than in the 2K of the measurement: P+ = (P^-1 + J^T R^-1 J)^-1 through
+    the Cholesky factors of P and of I + C^T J^T R^-1 J C, which is
+    symmetric positive semidefinite by construction.  The condition
     gate is certified without forming S = J P J^T + R: Weyl's inequality
     bounds its extreme eigenvalues from the closed-form 2x2 eigenvalues of R
     and tr(J P J^T).  When the bound does not certify the gate (or an R
@@ -445,16 +337,12 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     if not np.all(kp_state.measured_ever[active_idx]):
         raise ValueError("active keypoint was never measured; it has no estimate to fuse")
 
-    pred, Jh, Jf = _jacobian_terms(state, active_idx, eps, field=state.joint)
+    pred, J = _jacobian_terms(state, active_idx, eps)
     nu = (kp_state.keypoint_means()[active_idx] - pred).ravel()
     R_blocks = kp_state.cov[active_idx]
-    J = _full_jacobian(n, active_idx, Jh, Jf) if state.joint else Jh
 
     update = _information_update(state.cov, J, R_blocks, nu, max_condition)
     if update is None:
         update = _exact_update(state.cov, J, R_blocks, nu, max_condition)
     dx, cov = update
-    if not state.joint:
-        return replace(state, h_mean=state.h_mean + dx, cov=cov)
-    mean = state.stacked_mean() + dx
-    return HomographyFilterState(field_mean=mean[:2 * n], h_mean=mean[2 * n:], cov=cov)
+    return replace(state, h_mean=state.h_mean + dx, cov=cov)

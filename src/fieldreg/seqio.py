@@ -41,6 +41,8 @@ def _load_json(path):
             return json.load(f)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e}", path=path) from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"not valid UTF-8: {e}", path=path) from None
 
 
 def _expect_kind(doc, kind, path, line=None):
@@ -55,6 +57,16 @@ def _int(value, key, path, line=None):
     """value if it is a JSON integer (an int, not a bool), else a FormatError."""
     if type(value) is not int:
         raise FormatError(f"{key} must be an integer, got {value!r:.40}", path=path, line=line)
+    return value
+
+
+def _dim(row, key, path, line):
+    """row[key] as an image dimension: a JSON integer that a float can hold."""
+    value = _int(row[key], key, path, line)
+    try:
+        float(value)
+    except OverflowError:
+        raise FormatError(f"{key} is too large", path=path, line=line) from None
     return value
 
 
@@ -181,14 +193,18 @@ def write_sequence(path, header, frames, template):
 def _frame_rows(path, kind):
     """Yield a JSONL file's SequenceHeader, then (line, frame, row) per frame row.
 
-    Owns what the sequence and estimates readers share: blank lines, JSON
-    errors, the header, and the strictly increasing integer 'frame'.
+    Owns what the sequence and estimates readers share: UTF-8 decoding, blank
+    lines, JSON errors, the header, and the strictly increasing integer
+    'frame'.  Lines are decoded one at a time so a bad byte names its line.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         header = None
         last = None
         for line, raw in enumerate(f, start=1):
-            raw = raw.strip()
+            try:
+                raw = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise FormatError(f"not valid UTF-8: {e}", path=path, line=line) from None
             if not raw:
                 continue
             try:
@@ -200,8 +216,8 @@ def _frame_rows(path, kind):
                 try:
                     header = SequenceHeader(
                         sequence_id=str(row["sequence_id"]),
-                        dims=ImageDims(_int(row["width_px"], "width_px", path, line),
-                                       _int(row["height_px"], "height_px", path, line)))
+                        dims=ImageDims(_dim(row, "width_px", path, line),
+                                       _dim(row, "height_px", path, line)))
                 except (KeyError, ValueError) as e:
                     raise FormatError(f"bad {kind} header: {e}", path=path, line=line) from None
                 yield header
@@ -374,8 +390,8 @@ def read_bank(path):
     try:
         def section(name, k):
             sec = doc[name]
-            pooled = np.array(sec["pooled"], dtype=float).reshape(k, k)
-            blocks = {int(i): np.array(m, dtype=float).reshape(k, k)
+            pooled = _finite(sec["pooled"], f"{name} pooled", (k, k), path)
+            blocks = {int(i): _finite(m, f"{name} per_id {i}", (k, k), path)
                       for i, m in sec.get("per_id", {}).items()}
             counts = {int(i): _int(c, f"{name} counts", path)
                       for i, c in sec.get("counts", {}).items()}
@@ -391,10 +407,11 @@ def read_bank(path):
             measurement=m_blocks,
             measurement_pooled=m_pooled,
             measurement_counts=m_counts,
-            homography_process=np.array(doc["homography_process"], dtype=float).reshape(8, 8),
+            homography_process=_finite(doc["homography_process"], "homography_process",
+                                       (8, 8), path),
             homography_process_samples=_int(samples.get("homography_process", 0),
                                             "samples", path),
-            init_homography=np.array(doc["init_homography"], dtype=float).reshape(8, 8),
+            init_homography=_finite(doc["init_homography"], "init_homography", (8, 8), path),
             init_homography_samples=_int(samples.get("init_homography", 0), "samples", path),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:

@@ -2,8 +2,8 @@
 
 The homography chain is H_t = A_t H_{t-1} plus optional parameter-space
 process noise; ground-truth keypoints are always the exact homography images
-of the (optionally drifting) field points, so the generated data satisfies
-the same identities the filter assumes.  Measurements are ground truth plus
+of the static template points, so the generated data satisfies the same
+identities the filter assumes.  Measurements are ground truth plus
 i.i.d. Gaussian noise with i.i.d. dropout.  Everything is driven by one
 seeded generator in a fixed draw order, so a config and seed pin the output
 bit for bit.
@@ -43,8 +43,6 @@ class SimNoise:
     """Noise terms of the generative model.
 
     measurement and homography_process are injected during generation.
-    field_process, when nonzero, random-walks the field points (and then
-    ground-truth keypoints track the walked points, not the static template).
     keypoint_process is NOT injected -- ground-truth keypoints stay exact
     homography images by construction -- but it is carried so a matched
     covariance bank can be emitted alongside the sequence.
@@ -53,7 +51,6 @@ class SimNoise:
     measurement: np.ndarray = dc_field(default_factory=lambda: np.zeros((2, 2)))
     homography_process: np.ndarray = dc_field(default_factory=lambda: np.zeros((8, 8)))
     keypoint_process: np.ndarray = dc_field(default_factory=lambda: np.zeros((2, 2)))
-    field_process: np.ndarray = dc_field(default_factory=lambda: np.zeros((2, 2)))
 
     def __post_init__(self):
         object.__setattr__(self, "measurement", _as_cov("measurement", self.measurement, (2, 2)))
@@ -61,8 +58,6 @@ class SimNoise:
                            _as_cov("homography_process", self.homography_process, (8, 8)))
         object.__setattr__(self, "keypoint_process",
                            _as_cov("keypoint_process", self.keypoint_process, (2, 2)))
-        object.__setattr__(self, "field_process",
-                           _as_cov("field_process", self.field_process, (2, 2)))
 
 
 def _chol_or_none(cov):
@@ -98,21 +93,17 @@ class SimConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-def _visible(H, positions, dims, eps):
+def visible_keypoints(H, template, dims, eps=EPS_T):
+    """(indices, projected positions) of template keypoints landing in-bounds
+    with a positive projective denominator."""
+    positions = template.positions
     den = homography_denominators(H, positions)
-    front = den > eps
-    idx = np.flatnonzero(front)
+    idx = np.flatnonzero(den > eps)
     H = np.asarray(H, dtype=float)
     proj = (positions[idx] @ H[:2, :2].T + H[:2, 2]) / den[idx, None]
     w, h = float(dims.width_px), float(dims.height_px)
     inb = (proj[:, 0] >= 0) & (proj[:, 0] <= w) & (proj[:, 1] >= 0) & (proj[:, 1] <= h)
     return idx[inb], proj[inb]
-
-
-def visible_keypoints(H, template, dims, eps=EPS_T):
-    """(indices, projected positions) of template keypoints landing in-bounds
-    with a positive projective denominator."""
-    return _visible(H, template.positions, dims, eps)
 
 
 def pan_motion_script(n_frames, angle_amplitude=0.0015, scale_amplitude=0.001,
@@ -138,22 +129,16 @@ def pan_motion_script(n_frames, angle_amplitude=0.0015, scale_amplitude=0.001,
 def generate_sequence(config):
     """Run the generative model; returns a list of SequenceFrame.
 
-    Per-frame draw order is fixed (homography noise, field noise, dropout,
-    measurement noise), so output is bit-identical for identical config and
-    seed.  Raises EmptyVisibleRegion when the initial homography shows no
+    Per-frame draw order is fixed (homography noise, dropout, measurement
+    noise), so output is bit-identical for identical config and seed.
+    Raises EmptyVisibleRegion when the initial homography shows no
     keypoint at all, and DegenerateHomography if the chain goes singular.
     """
     rng = np.random.default_rng(config.seed)
-    template = config.template
-    dims = config.dims
-    n = template.n
-
     chol_h = _chol_or_none(config.noise.homography_process)
-    chol_f = _chol_or_none(config.noise.field_process)
     chol_m = _chol_or_none(config.noise.measurement)
 
     H = config.initial_homography.copy()
-    field_pts = template.positions.copy()
     frames = []
     for t in range(config.n_frames):
         motion = None
@@ -164,10 +149,8 @@ def generate_sequence(config):
                 H = homography_from_params(homography_params(H) + chol_h @ rng.standard_normal(8))
             if abs(np.linalg.det(H)) <= EPS_DET:
                 raise DegenerateHomography(f"frame {t}: homography chain went singular")
-            if chol_f is not None:
-                field_pts = field_pts + rng.standard_normal((n, 2)) @ chol_f.T
 
-        vis_idx, vis_pos = _visible(H, field_pts, dims, EPS_T)
+        vis_idx, vis_pos = visible_keypoints(H, config.template, config.dims)
         if t == 0 and vis_idx.size == 0:
             raise EmptyVisibleRegion("initial homography leaves no template keypoint in view")
 

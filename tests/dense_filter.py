@@ -1,16 +1,15 @@
 """Dense reference forms of both filter stages, for tests only.
 
 These are the textbook equations with every matrix spelled out: the keypoint
-stage carries a full (2N, 2N) covariance, and the EKF transforms, gains and
-Joseph-updates the whole (2N + 8) state.  fieldreg's own filters exploit the
-structure these matrices keep by construction (2x2 keypoint blocks, zero
-field rows under a static field, which fieldreg does not store); the tests
-check that they agree.
+stage carries a full (2N, 2N) covariance, and the EKF forms the dense 2K x 2K
+innovation covariance, a Kalman gain and a Joseph-form update of the 8x8
+homography covariance.  fieldreg's own filters exploit structure these
+matrices keep by construction (2x2 keypoint blocks, an information-form
+update in the state dimension); the tests check that they agree.
 
 The functions take and return the same things as their fieldreg namesakes,
-except that keypoint states are DenseKeypointState and homography states
-always carry the joint (2N + 8)-square covariance (full_cov widens a compact
-one), so they can stand in for them inside fieldreg.pipeline.iter_filter.
+except that keypoint states are DenseKeypointState, so they can stand in for
+them inside fieldreg.pipeline.iter_filter.
 """
 
 from dataclasses import dataclass, replace
@@ -66,22 +65,6 @@ def _coord_idx(ids):
     out[0::2] = 2 * ids
     out[1::2] = 2 * ids + 1
     return out
-
-
-def full_cov(state):
-    """The joint (2N + 8)-square covariance of a HomographyFilterState."""
-    if state.joint:
-        return state.cov
-    n = state.n
-    cov = np.zeros((2 * n + 8, 2 * n + 8))
-    cov[2 * n:, 2 * n:] = state.cov
-    return cov
-
-
-def _field_blocks(noise, n):
-    if noise.field_process is None:
-        return np.zeros((n, 2, 2))
-    return noise.field_process
 
 
 # -- keypoint stage ----------------------------------------------------------
@@ -176,25 +159,16 @@ def ekf_init(frame, template, noise, ransac=RansacParams()):
             confidence=ransac.confidence)
     except NoConsensus as e:
         raise DegenerateConfiguration(f"no RANSAC consensus at init: {e}") from e
-    n = template.n
-    cov = np.zeros((2 * n + 8, 2 * n + 8))
-    cov[:2 * n, :2 * n] = block_diag(_field_blocks(noise, n))
-    cov[2 * n:, 2 * n:] = noise.init_cov
     return HomographyFilterState(field_mean=template.positions.ravel().copy(),
-                                 h_mean=homography_params(H0), cov=cov)
+                                 h_mean=homography_params(H0), cov=noise.init_cov.copy())
 
 
 def ekf_predict(state, motion, noise):
-    n = state.n
     H_new = motion.as_matrix() @ reconstruct_homography(state)
-    M = np.eye(2 * n + 8)
-    M[2 * n:, 2 * n:] = _transition_matrix(motion)
-    cov = M @ full_cov(state) @ M.T
-    cov[:2 * n, :2 * n] += block_diag(_field_blocks(noise, n))
-    cov[2 * n:, 2 * n:] += noise.homography_process
+    F = _transition_matrix(motion)
+    cov = F @ state.cov @ F.T + noise.homography_process
     cov = 0.5 * (cov + cov.T)
-    return replace(state, field_mean=state.field_mean.copy(),
-                   h_mean=homography_params(H_new), cov=cov)
+    return replace(state, h_mean=homography_params(H_new), cov=cov)
 
 
 def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITION,
@@ -212,7 +186,7 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     R = kp_state.cov[np.ix_(ci, ci)]
     J = measurement_jacobian(state, active_idx, eps=eps)
     pred = predict_measurements(state, active_idx, eps=eps).ravel()
-    P = full_cov(state)
+    P = state.cov
     S = J @ P @ J.T + R
     S = 0.5 * (S + S.T)
     cond = np.linalg.cond(S)
@@ -223,11 +197,10 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     except np.linalg.LinAlgError:
         raise SingularInnovation("innovation covariance is not positive definite") from None
     K = np.linalg.solve(S, J @ P).T
-    mean = state.stacked_mean() + K @ (z - pred)
-    A = np.eye(2 * n + 8) - K @ J
+    A = np.eye(8) - K @ J
     cov = A @ P @ A.T + K @ R @ K.T
     cov = 0.5 * (cov + cov.T)
-    return HomographyFilterState(field_mean=mean[:2 * n], h_mean=mean[2 * n:], cov=cov)
+    return replace(state, h_mean=state.h_mean + K @ (z - pred), cov=cov)
 
 
 # Names iter_filter looks up in fieldreg.pipeline, mapped to their dense forms.

@@ -1,6 +1,5 @@
 """The structured filter core against the dense reference equations in
-dense_filter.py: end to end through iter_filter, and stage by stage under a
-field process, where every row of the EKF covariance is live."""
+dense_filter.py, end to end through iter_filter."""
 
 import numpy as np
 import pytest
@@ -12,13 +11,6 @@ from fieldreg.defaults import (
     DEFAULT_MEASUREMENT,
     default_covariance_bank,
 )
-from fieldreg.homography_filter import (
-    HomographyNoiseConfig,
-    ekf_init,
-    ekf_predict,
-    ekf_update,
-)
-from fieldreg.keypoint_filter import init_keypoint_state, lkf_predict, lkf_update
 from fieldreg.pipeline import FilterOptions
 from fieldreg.seqio import SequenceFrame
 from fieldreg.simulator import SimConfig, SimNoise, generate_sequence, pan_motion_script
@@ -26,7 +18,6 @@ from helpers import DIMS, TEMPLATE, view_homography
 
 HOMOGRAPHY_RTOL = 1e-10     # Frobenius-relative, per frame
 KEYPOINT_RTOL = 1e-9        # relative to the largest coordinate, per frame
-FIELD_PROCESS_RTOL = 1e-10  # stage-level run with every EKF row live
 
 
 def noisy_frames(n_frames, seed, with_flow):
@@ -96,40 +87,6 @@ def test_iter_filter_matches_dense_reference(motion_source, active_set, init_all
     assert (skipped > 0) == (max_condition < 1e12)
 
 
-def test_field_process_stages_match_dense_reference():
-    # the paper's joint model: a field process makes every EKF row live, so
-    # the state carries the joint covariance and the update runs over all of it
-    frames = noisy_frames(61, 21, with_flow=False)
-    bank = default_covariance_bank()
-    kp_noise = bank.noise_for(TEMPLATE)
-    n = TEMPLATE.n
-    h_noise = HomographyNoiseConfig(
-        homography_process=bank.homography_process, init_cov=bank.init_homography,
-        field_process=np.tile(np.array([[0.02, 0.005], [0.005, 0.01]]), (n, 1, 1)))
-
-    first = frames[0].measurements
-    h_s = ekf_init(first, TEMPLATE, h_noise)
-    h_d = dense.ekf_init(first, TEMPLATE, h_noise)
-    kp_s = lkf_update(init_keypoint_state(n), first, kp_noise)
-    kp_d = dense.lkf_update(dense.init_keypoint_state(n), first, kp_noise)
-    assert np.array_equal(h_s.cov, h_d.cov)
-
-    for frame in frames[1:]:
-        kp_s = lkf_update(lkf_predict(kp_s, frame.motion, kp_noise), frame.measurements, kp_noise)
-        kp_d = dense.lkf_update(dense.lkf_predict(kp_d, frame.motion, kp_noise),
-                                frame.measurements, kp_noise)
-        h_s = ekf_predict(h_s, frame.motion, h_noise)
-        h_d = dense.ekf_predict(h_d, frame.motion, h_noise)
-        assert np.all(h_s.cov.any(axis=1))
-        active = np.flatnonzero(kp_s.measured_now)
-        h_s = ekf_update(h_s, kp_s, active)
-        h_d = dense.ekf_update(h_d, kp_d, active)
-        for a, b in ((h_s.stacked_mean(), h_d.stacked_mean()), (h_s.cov, h_d.cov)):
-            rel = np.linalg.norm(a - b) / np.linalg.norm(b)
-            assert rel <= FIELD_PROCESS_RTOL, f"frame {frame.frame_index}: {rel:.3e}"
-        assert not np.array_equal(h_s.field_mean, TEMPLATE.positions.ravel())
-
-
 def _record_covs(fns, into):
     """fns wrapped so that each appends its returned state's cov to into."""
     def recording(fn):
@@ -142,15 +99,12 @@ def _record_covs(fns, into):
 
 
 def test_static_field_cov_stays_compact_and_matches_dense_block(monkeypatch):
-    # with no field process the EKF stores only the 8x8 homography
-    # covariance; the dense reference carries the joint one, whose 2N field
-    # rows and columns stay exactly 0.0 and whose homography block must
-    # agree after every step
-    n = TEMPLATE.n
+    # the EKF stores only the 8x8 homography covariance, and it must agree
+    # with the dense reference's after every step
     frames = noisy_frames(100, 31, with_flow=False)
     bank = default_covariance_bank()
     ekf = ("ekf_init", "ekf_predict", "ekf_update")
-    compact, joint = [], []
+    compact, reference = [], []
     with monkeypatch.context() as m:
         for name, fn in _record_covs({k: getattr(pipeline, k) for k in ekf}, compact).items():
             m.setattr(pipeline, name, fn)
@@ -158,47 +112,12 @@ def test_static_field_cov_stays_compact_and_matches_dense_block(monkeypatch):
     with monkeypatch.context() as m:
         for name, fn in dense.PIPELINE_NAMES.items():
             m.setattr(pipeline, name, fn)
-        for name, fn in _record_covs({k: dense.PIPELINE_NAMES[k] for k in ekf}, joint).items():
+        for name, fn in _record_covs({k: dense.PIPELINE_NAMES[k] for k in ekf}, reference).items():
             m.setattr(pipeline, name, fn)
         list(pipeline.iter_filter(frames, TEMPLATE, bank))
-    assert len(compact) == len(joint) > 150
-    for step, (c, j) in enumerate(zip(compact, joint)):
-        assert c.shape == (8, 8)
-        assert np.all(j[:2 * n, :] == 0.0) and np.all(j[:, :2 * n] == 0.0)
-        rel = np.linalg.norm(c - j[2 * n:, 2 * n:]) / np.linalg.norm(j[2 * n:, 2 * n:])
+    assert len(compact) == len(reference) > 150
+    for step, (c, r) in enumerate(zip(compact, reference)):
+        assert c.shape == r.shape == (8, 8)
+        rel = np.linalg.norm(c - r) / np.linalg.norm(r)
         assert rel <= HOMOGRAPHY_RTOL, f"step {step}: {rel:.3e}"
         assert np.all(np.diag(c) > 0.0)
-
-
-def test_compact_state_widens_under_field_process():
-    # a state initialised under a static field takes the joint layout on its
-    # first predict under a field process, and then follows the dense model
-    frames = noisy_frames(31, 22, with_flow=False)
-    bank = default_covariance_bank()
-    kp_noise = bank.noise_for(TEMPLATE)
-    n = TEMPLATE.n
-    static = bank.homography_noise()
-    moving = HomographyNoiseConfig(
-        homography_process=bank.homography_process, init_cov=bank.init_homography,
-        field_process=np.tile(np.array([[0.02, 0.005], [0.005, 0.01]]), (n, 1, 1)))
-
-    first = frames[0].measurements
-    h_s = ekf_init(first, TEMPLATE, static)
-    h_d = dense.ekf_init(first, TEMPLATE, static)
-    assert not h_s.joint and h_d.joint
-    kp_s = lkf_update(init_keypoint_state(n), first, kp_noise)
-    kp_d = dense.lkf_update(dense.init_keypoint_state(n), first, kp_noise)
-    for frame in frames[1:]:
-        kp_s = lkf_update(lkf_predict(kp_s, frame.motion, kp_noise), frame.measurements, kp_noise)
-        kp_d = dense.lkf_update(dense.lkf_predict(kp_d, frame.motion, kp_noise),
-                                frame.measurements, kp_noise)
-        h_s = ekf_predict(h_s, frame.motion, moving)
-        h_d = dense.ekf_predict(h_d, frame.motion, moving)
-        assert h_s.cov.shape == (2 * n + 8, 2 * n + 8)
-        active = np.flatnonzero(kp_s.measured_now)
-        h_s = ekf_update(h_s, kp_s, active)
-        h_d = dense.ekf_update(h_d, kp_d, active)
-        for a, b in ((h_s.stacked_mean(), h_d.stacked_mean()), (h_s.cov, h_d.cov)):
-            rel = np.linalg.norm(a - b) / np.linalg.norm(b)
-            assert rel <= FIELD_PROCESS_RTOL, f"frame {frame.frame_index}: {rel:.3e}"
-    assert not np.array_equal(h_s.field_mean, TEMPLATE.positions.ravel())

@@ -76,8 +76,6 @@ def test_ekf_init_recovers_exact_homography():
     state, H = init_state()
     assert np.abs(reconstruct_homography(state) - H).max() < 1e-9
     assert np.array_equal(state.field_points(), TEMPLATE.positions)
-    # static field: only the homography covariance is stored
-    assert not state.joint
     assert np.array_equal(state.cov, small_noise().init_cov)
 
 
@@ -111,36 +109,13 @@ def test_predict_mean_is_exact_matrix_product():
 
 def test_predict_covariance_oracle():
     state, _ = init_state()
-    n = state.n
     m = AffineSimilarity(a=1.02, b=-0.03, tx=2.0, ty=-1.0)
     noise = small_noise()
     moved = ekf_predict(state, m, noise)
-    M = np.eye(2 * n + 8)
-    M[2 * n:, 2 * n:] = _transition_matrix(m)
-    Q = np.zeros((2 * n + 8, 2 * n + 8))
-    Q[2 * n:, 2 * n:] = noise.homography_process
-    expect = M @ dense.full_cov(state) @ M.T + Q
+    F = _transition_matrix(m)
+    expect = F @ state.cov @ F.T + noise.homography_process
     assert moved.cov.shape == (8, 8)
-    assert np.allclose(dense.full_cov(moved), 0.5 * (expect + expect.T), atol=1e-15)
-
-
-def test_predict_covariance_exactly_symmetric_with_field_process():
-    # only the homography rows and columns are symmetrized; the field blocks
-    # must stay exactly symmetric on their own
-    state, _ = init_state()
-    n = state.n
-    rng = np.random.default_rng(13)
-    A = rng.normal(size=(2 * n + 8, 2 * n + 8))
-    state = HomographyFilterState(field_mean=state.field_mean, h_mean=state.h_mean,
-                                  cov=1e-3 * (A @ A.T))
-    fp = rng.normal(size=(n, 2, 2))
-    noise = HomographyNoiseConfig(homography_process=1e-6 * np.eye(8), init_cov=np.eye(8),
-                                  field_process=fp @ fp.transpose(0, 2, 1))
-    for _ in range(5):
-        m = AffineSimilarity(a=rng.normal(1, 0.05), b=rng.normal(0, 0.05),
-                             tx=rng.normal(0, 3), ty=rng.normal(0, 3))
-        state = ekf_predict(state, m, noise)
-        assert np.array_equal(state.cov, state.cov.T)
+    assert np.allclose(moved.cov, 0.5 * (expect + expect.T), atol=1e-15)
 
 
 def test_predicted_measurements_are_projections():
@@ -155,26 +130,15 @@ def test_jacobian_matches_central_differences():
     state, _ = init_state()
     active = np.array([0, 6, 12, 22, 30])
     J = measurement_jacobian(state, active)
-    n = state.n
 
     def f(x):
-        s = HomographyFilterState(field_mean=x[:2 * n], h_mean=x[2 * n:],
-                                  cov=state.cov)
+        s = HomographyFilterState(field_mean=state.field_mean, h_mean=x, cov=state.cov)
         return predict_measurements(s, active).ravel()
 
-    J_fd = fd_jacobian(f, state.stacked_mean(), step=1e-6)
-    assert J.shape == (10, 2 * n + 8)
+    J_fd = fd_jacobian(f, state.h_mean, step=1e-6)
+    assert J.shape == (10, 8)
     scale = np.maximum(np.abs(J), 1.0)
     assert (np.abs(J - J_fd) / scale).max() < 1e-4
-
-
-def test_jacobian_inactive_columns_zero():
-    state, _ = init_state()
-    active = np.array([2, 9])
-    J = measurement_jacobian(state, active)
-    inactive = np.setdiff1d(np.arange(state.n), active)
-    for j in inactive:
-        assert not J[:, 2 * j:2 * j + 2].any()
 
 
 def test_update_matches_dense_oracle():
@@ -193,15 +157,16 @@ def test_update_matches_dense_oracle():
     R = block_diag(kp.cov)[np.ix_(ci, ci)]
     J = measurement_jacobian(state, active)
     pred = predict_measurements(state, active).ravel()
-    P = dense.full_cov(state)
+    P = state.cov
     S = J @ P @ J.T + R
     K = P @ J.T @ np.linalg.inv(0.5 * (S + S.T))
-    mean = state.stacked_mean() + K @ (z - pred)
-    IKJ = np.eye(2 * n + 8) - K @ J
+    mean = state.h_mean + K @ (z - pred)
+    IKJ = np.eye(8) - K @ J
     cov = IKJ @ P @ IKJ.T + K @ R @ K.T
 
-    assert np.allclose(updated.stacked_mean(), mean, atol=1e-9)
-    assert np.allclose(dense.full_cov(updated), 0.5 * (cov + cov.T), atol=1e-9)
+    assert np.allclose(updated.h_mean, mean, atol=1e-9)
+    assert np.array_equal(updated.field_mean, state.field_mean)
+    assert np.allclose(updated.cov, 0.5 * (cov + cov.T), atol=1e-9)
 
 
 def test_update_pulls_homography_toward_truth():
@@ -321,22 +286,6 @@ def test_out_of_range_active_index_raises(bad):
         measurement_jacobian(state, active)
 
 
-def test_field_process_must_be_finite_and_symmetric():
-    good = np.tile(np.array([[0.02, 0.005], [0.005, 0.01]]), (4, 1, 1))
-    for j, r, c, value in ((1, 0, 0, np.nan), (2, 0, 1, 0.006), (3, 1, 1, np.inf)):
-        fp = good.copy()
-        fp[j, r, c] = value
-        with pytest.raises(ValueError):
-            HomographyNoiseConfig(homography_process=np.eye(8), init_cov=np.eye(8),
-                                  field_process=fp)
-    # within the shared 1e-9 tolerance: accepted and made exactly symmetric
-    fp = good.copy()
-    fp[0, 0, 1] += 1e-12
-    noise = HomographyNoiseConfig(homography_process=np.eye(8), init_cov=np.eye(8),
-                                  field_process=fp)
-    assert np.array_equal(noise.field_process, noise.field_process.transpose(0, 2, 1))
-
-
 def dense_kp(kp):
     return dense.DenseKeypointState(kp.mean, block_diag(kp.cov), kp.measured_ever,
                                     kp.measured_now)
@@ -346,7 +295,7 @@ def exact_spectrum(state, kp, active):
     """Extreme eigenvalues of the dense S = J P J^T + R."""
     J = measurement_jacobian(state, active)
     R = block_diag(kp.cov[active])
-    S = J @ dense.full_cov(state) @ J.T + R
+    S = J @ state.cov @ J.T + R
     eig = np.linalg.eigvalsh(0.5 * (S + S.T))
     return eig[0], eig[-1]
 
@@ -358,7 +307,7 @@ def innovation_bounds(JC, blocks):
 
 
 def cheap_condition_bound(state, kp, active):
-    J = measurement_jacobian(state, active)[:, 2 * state.n:]
+    J = measurement_jacobian(state, active)
     lo, hi = innovation_bounds(J @ np.linalg.cholesky(state.cov), kp.cov[active])
     return hi / lo
 
@@ -366,7 +315,7 @@ def cheap_condition_bound(state, kp, active):
 def assert_matches_dense(state, kp, active, max_condition):
     got = ekf_update(state, kp, active, max_condition=max_condition)
     want = dense.ekf_update(state, dense_kp(kp), active, max_condition=max_condition)
-    for a, b in ((got.stacked_mean(), want.stacked_mean()), (dense.full_cov(got), want.cov)):
+    for a, b in ((got.h_mean, want.h_mean), (got.cov, want.cov)):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
 

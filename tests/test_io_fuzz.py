@@ -1,12 +1,14 @@
-"""Seeded mutations of the golden sequence and estimates files.
+"""Seeded mutations of the golden sequence, estimates and bank files.
 
-Each case applies one mutation to one line: truncate it, delete or retype a
-key, reshape or duplicate a list entry, or put NaN or an infinity in place
-of a number.  Every CLI verb that reads the mutated file must then return 0,
-or return 1 with `error: <path>: line N: `; none may raise.  Every file a
-verb writes must be strict JSON, with no NaN or Infinity token.  The one
-other allowed failure is evaluate's cross-file FrameMismatch, which a
-changed frame index or sequence id can cause.  Standard library only.
+Each case applies one mutation to one line of a JSONL file, or to the whole
+bank document: truncate it, delete or retype a key, reshape or duplicate a
+list entry, or put NaN or an infinity in place of a number.  Every CLI verb
+that reads the mutated file must then return 0, or return 1 with
+`error: <path>: line N: ` (`error: <path>: ` for the bank, which has no
+lines to name); none may raise.  Every file a verb writes must be strict
+JSON, with no NaN or Infinity token.  The one other allowed failure is
+evaluate's cross-file FrameMismatch, which a changed frame index or sequence
+id can cause.  Standard library only.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ from fieldreg.cli import main as cli_main
 DATA = pathlib.Path(__file__).parent / "data"
 SEQUENCE = DATA / "golden_sequence.jsonl"
 ESTIMATES = DATA / "golden_estimates.jsonl"
+BANK = DATA / "golden_bank.json"
 SEEDS = range(200)
 
 RETYPED = [None, True, "x", 2.7, -1, [], {}, [1, 2], {"frame": 1}]
@@ -51,17 +54,22 @@ def _set(value, at, new):
     _get(value, at[:-1])[at[-1]] = new
 
 
-def mutate(lines, rng):
-    """The lines with one seeded mutation applied, and its description."""
+def mutate_lines(lines, rng):
+    """The lines with one seeded mutation applied to one of them, and its description."""
     lines = list(lines)
     i = rng.randrange(len(lines))
-    row = json.loads(lines[i])
+    lines[i], what = mutate(lines[i], rng)
+    return lines, f"line {i + 1}: {what}"
+
+
+def mutate(text, rng):
+    """The JSON document text with one seeded mutation applied, and its description."""
+    row = json.loads(text)
     kind = rng.choice(["truncate", "delete", "retype", "reshape", "duplicate", "non-finite"])
     lists = [at for at in _paths(row, lambda v: isinstance(v, list)) if at]
     nonempty = [at for at in lists if _get(row, at)]
     if kind == "truncate":
-        lines[i] = lines[i][:rng.randrange(len(lines[i]))]
-        return lines, f"line {i + 1}: truncate"
+        return text[:rng.randrange(len(text))], "truncate"
     if kind in ("delete", "retype"):
         key = rng.choice(sorted(row))
         if kind == "delete":
@@ -90,8 +98,7 @@ def mutate(lines, rng):
         at = rng.choice(list(_paths(row, lambda v: type(v) in (int, float))))
         _set(row, at, rng.choice(NON_FINITE))
         what = f"non-finite at {at}"
-    lines[i] = json.dumps(row)
-    return lines, f"line {i + 1}: {what}"
+    return json.dumps(row), what
 
 
 def _reject_constant(name):
@@ -103,6 +110,14 @@ def _strict_json(path):
     docs = text.splitlines() if path.endswith(".jsonl") else [text]
     for doc in docs:
         json.loads(doc, parse_constant=_reject_constant)
+
+
+def _run(argv):
+    """(return code, stderr) of one in-process CLI run."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = cli_main(argv)
+    return rc, stderr.getvalue()
 
 
 def _verbs(mutated, which):
@@ -119,17 +134,15 @@ def _verbs(mutated, which):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mutated_inputs_fail_cleanly(tmp_path, which, seed):
     source = SEQUENCE if which == "sequence" else ESTIMATES
-    lines, what = mutate(source.read_text().splitlines(), random.Random(f"{which}/{seed}"))
+    lines, what = mutate_lines(source.read_text().splitlines(),
+                               random.Random(f"{which}/{seed}"))
     mutated = str(tmp_path / source.name)
     pathlib.Path(mutated).write_text("\n".join(lines) + "\n")
     located = re.compile(rf"error: {re.escape(mutated)}: line \d+: ")
     for argv in _verbs(mutated, which):
         out = str(tmp_path / (argv[0] + (".jsonl" if argv[0] in ("filter", "baseline")
                                          else ".json")))
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            rc = cli_main(argv + ["--output", out])
-        err = stderr.getvalue()
+        rc, err = _run(argv + ["--output", out])
         context = f"{what}; {argv[0]}: {err.strip()}"
         if rc == 0:
             _strict_json(out)
@@ -137,3 +150,17 @@ def test_mutated_inputs_fail_cleanly(tmp_path, which, seed):
         assert rc == 1, context
         assert located.match(err) or (argv[0] == "evaluate" and err.startswith(FRAME_MISMATCH)), \
             context
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_bank_fails_cleanly(tmp_path, seed):
+    text, what = mutate(BANK.read_text(), random.Random(f"bank/{seed}"))
+    mutated = str(tmp_path / BANK.name)
+    pathlib.Path(mutated).write_text(text)
+    out = str(tmp_path / "filter.jsonl")
+    rc, err = _run(["filter", "--input", str(SEQUENCE), "--bank", mutated, "--output", out])
+    if rc == 0:
+        _strict_json(out)
+        return
+    assert rc == 1, f"{what}: {err.strip()}"
+    assert re.match(rf"error: {re.escape(mutated)}: (?!line )", err), f"{what}: {err.strip()}"

@@ -577,7 +577,7 @@ def test_cli_config_file_and_overrides(tmp_path):
     assert len(frames) == 4
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(tmp_path, capsys):
     missing = str(tmp_path / "nope.jsonl")
     out = str(tmp_path / "out.jsonl")
     assert cli_main(["filter", "--input", missing, "--output", out]) == 1
@@ -588,6 +588,16 @@ def test_cli_error_paths(tmp_path):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("[]")
     assert cli_main(["simulate", "--output", out, "--config", str(bad_cfg)]) == 1
+    # a noise config that is neither a preset nor an object, a misspelt key
+    # and the removed field_process key are errors, not zero noise
+    for noise, named in ((5, "int"), ({"measurment": [[1, 0], [0, 1]]}, "'measurment'"),
+                         ({"field_process": [[0.01, 0], [0, 0.01]]}, "'field_process'")):
+        bad_cfg.write_text(json.dumps({"noise": noise, "frames": 3}))
+        capsys.readouterr()
+        assert cli_main(["simulate", "--output", out, "--config", str(bad_cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
+    assert not pathlib.Path(out).exists()
 
 
 @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
@@ -677,6 +687,56 @@ def test_cli_evaluate_rejects_nonpositive_projection_samples(tmp_path, capsys, n
                      "--truth", str(GOLDEN / "golden_sequence.jsonl"),
                      "--projection-samples", n, "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: projection_samples")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("at", [("measurement", "pooled"), ("measurement", "per_id", "0"),
+                                ("homography_process",), ("init_homography",)])
+def test_bank_matrices_must_be_finite(tmp_path, capsys, at):
+    doc = json.loads((GOLDEN / "golden_bank.json").read_text())
+    matrix = doc
+    for key in at:
+        matrix = matrix[key]
+    matrix[1][1] = float("nan")
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))
+    key = " ".join(at)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bank))}: non-finite {key} value"):
+        read_bank(bank)
+    out = tmp_path / "est.jsonl"
+    assert cli_main(["filter", "--input", str(GOLDEN / "golden_sequence.jsonl"),
+                     "--bank", str(bank), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bank}: non-finite {key} value")
+    assert not out.exists()
+
+
+def test_non_utf8_input_names_the_path(tmp_path, capsys):
+    # one Latin-1 e-acute in the sequence header, and in a bank document
+    seq = tmp_path / "seq.jsonl"
+    seq.write_bytes((GOLDEN / "golden_sequence.jsonl").read_bytes()
+                    .replace(b'"sequence_id": "golden"', b'"sequence_id": "gold\xe9n"', 1))
+    bank = tmp_path / "bank.json"
+    bank.write_bytes((GOLDEN / "golden_bank.json").read_bytes()
+                     .replace(b'"column-stacked', b'"column-stack\xe9d', 1))
+    out = tmp_path / "est.jsonl"
+    assert cli_main(["filter", "--input", str(seq), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {seq}: line 1: not valid UTF-8")
+    assert cli_main(["filter", "--input", str(GOLDEN / "golden_sequence.jsonl"),
+                     "--bank", str(bank), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bank}: not valid UTF-8")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["width_px", "height_px"])
+def test_image_dimension_too_large_for_a_float_is_rejected(tmp_path, capsys, key):
+    lines = (GOLDEN / "golden_sequence.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] = int("9" * 401)
+    seq = tmp_path / "seq.jsonl"
+    seq.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    out = tmp_path / "est.jsonl"
+    assert cli_main(["filter", "--input", str(seq), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {seq}: line 1: {key} is too large")
     assert not out.exists()
 
 
