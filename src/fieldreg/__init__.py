@@ -2,7 +2,7 @@
 
 A linear Kalman filter smooths detected field keypoints in image space under
 inter-frame global motion; an extended Kalman filter fuses the smoothed
-keypoints into a homography-plus-field-geometry state.  Ships with robust
+keypoints into the 8 free homography parameters.  Ships with robust
 initialization, covariance calibration from annotated footage, registration
 metrics, a synthetic sequence generator, file formats and a CLI.
 """

@@ -2,14 +2,15 @@
 
 Five verbs: simulate, calibrate, filter, baseline, evaluate.  Each accepts an
 optional --config JSON file whose keys (snake_case flag names) supply
-defaults; explicit flags win over the config, the config wins over built-in
-defaults.  Matrix-valued settings (initial homography, noise covariances,
-view corners) are config-file only.
+settings; explicit flags win over the config, and a setting that neither
+gives takes the library's default.  Matrix-valued settings (initial
+homography, noise covariances, view corners) and the motion script are
+config-file only.
 """
 
 import argparse
 import dataclasses
-import json
+import functools
 import sys
 
 import numpy as np
@@ -20,11 +21,13 @@ from .defaults import (
     DEFAULT_MEASUREMENT,
     default_covariance_bank,
 )
-from .errors import FieldRegError, FrameMismatch
+from .errors import FieldRegError, FormatError, FrameMismatch
 from .field import ImageDims, standard_soccer_template
 from .geometry import RansacParams, dlt_homography
+from .metrics import PR_THRESHOLD_PX, PROJECTION_ERROR_SAMPLES
 from .motion import AffineSimilarity
 from .pipeline import (
+    ACTIVE_SETS,
     MOTION_SOURCES,
     FilterOptions,
     run_calibrate,
@@ -34,6 +37,7 @@ from .pipeline import (
 )
 from .seqio import (
     SequenceHeader,
+    _load_json,
     read_bank,
     read_estimates,
     read_sequence,
@@ -51,37 +55,65 @@ from .simulator import SimConfig, SimNoise, generate_sequence, pan_motion_script
 # footage; unscaled it shakes the synthetic camera too hard to be useful)
 FULL_NOISE_H_SCALE = 1e-4
 
+# SimNoise arguments of each simulate --noise preset
+NOISE_PRESETS = {
+    "none": {},
+    "measurement": {"measurement": DEFAULT_MEASUREMENT},
+    "full": {"measurement": DEFAULT_MEASUREMENT,
+             "homography_process": FULL_NOISE_H_SCALE * DEFAULT_HOMOGRAPHY_PROCESS},
+}
+# simulate's own defaults; every other setting defaults in the library
+SIMULATE_DEFAULTS = {"frames": 200, "width": 1280, "height": 720, "noise": "none", "motion": {}}
+# pan_motion_script's arguments other than the frame count
+PAN_NUMBERS = ("angle_amplitude", "scale_amplitude", "period", "phase")
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return doc
+# The JSON type of each config key: the types json.load gives for it, and
+# its name in an error.
+_NUMBER = ((int, float), "a number")
+CONFIG_TYPES = {
+    **dict.fromkeys(("seed", "frames", "width", "height", "min_samples", "max_iters",
+                     "projection_samples"), ((int,), "an integer")),
+    **dict.fromkeys(("dropout", "threshold_px", "confidence", "max_condition",
+                     "pr_threshold_px"), _NUMBER),
+    **dict.fromkeys(("sequence_id", "motion_source", "active_set"), ((str,), "a string")),
+    **dict.fromkeys(("initial_homography", "view_corners"), ((list,), "an array")),
+    "init_from_homography": ((bool,), "true or false"),
+    "noise": ((str, dict), "a preset name or an object"),
+    "motion": ((dict,), "an object"),
+}
 
 
-def _opt(args, config, key, default):
-    v = getattr(args, key, None)
-    if v is None:
-        v = config.get(key, default)
-    return v
+def _typed(key, value, kind):
+    """value if json.load's type for it is one of kind's, numbers as floats;
+    a ValueError naming key otherwise."""
+    types, what = kind
+    if type(value) not in types:
+        raise ValueError(f"{key} must be {what}, got {type(value).__name__}")
+    return float(value) if float in types else value
 
 
-def _template(args):
-    if getattr(args, "template", None):
-        return read_template(args.template)
-    return standard_soccer_template()
+def _options(args, config, make, *keys, **renamed):
+    """make(**settings) over the settings (flag dests and config keys) that a
+    flag or the config gives, each under its own name or the keyword renamed
+    maps it to; a flag wins, and an unset setting keeps make's default.  An
+    error in the config's values, of type or raised by make, names the file."""
+    flags, given = {}, {}
+    try:
+        for key in keys + tuple(renamed):
+            name = renamed.get(key, key)
+            if getattr(args, key, None) is not None:
+                flags[name] = getattr(args, key)
+            elif key in config:
+                given[name] = _typed(key, config[key], CONFIG_TYPES[key])
+        checked = make(**given) if given else None
+    except (FieldRegError, ValueError, OverflowError) as e:
+        raise FormatError(str(e), path=args.config) from None
+    return checked if given and not flags else make(**given, **flags)
 
 
-def _ransac(args, config, default_threshold=3.0, default_iters=2000):
-    return RansacParams(
-        inlier_threshold_px=float(_opt(args, config, "threshold_px", default_threshold)),
-        max_iters=int(_opt(args, config, "max_iters", default_iters)),
-        seed=int(_opt(args, config, "seed", 0)),
-        confidence=float(_opt(args, config, "confidence", 0.99)),
-    )
+def _ransac(args, config):
+    return _options(args, config, RansacParams, "max_iters", "seed", "confidence",
+                    threshold_px="inlier_threshold_px")
 
 
 def _default_view(template, dims):
@@ -96,106 +128,95 @@ def _default_view(template, dims):
     return dlt_homography(template.corners(), quad)
 
 
+def _matrix(key, value):
+    """A JSON array of equal-length arrays of numbers, as a float array."""
+    if not (type(value) is list and value and all(type(row) is list for row in value)
+            and len({len(row) for row in value}) == 1
+            and all(type(v) in (int, float) for row in value for v in row)):
+        raise ValueError(f"{key} must be an array of equal-length arrays of numbers")
+    return np.array(value, dtype=float)
+
+
 def _motion_script(spec, n_frames):
-    if spec is None:
-        spec = {"kind": "pan"}
     kind = spec.get("kind", "pan")
+    if kind not in ("pan", "static"):
+        raise ValueError(f"unknown motion kind {kind!r} (expected 'pan' or 'static')")
+    kw = {}
+    for key, value in spec.items():
+        if key == "translation_amplitude":
+            if not (type(value) is list and len(value) == 2):
+                raise ValueError(f"motion {key} must be an array of two numbers")
+            kw[key] = tuple(_typed(f"motion {key}", v, _NUMBER) for v in value)
+        elif key in PAN_NUMBERS:
+            kw[key] = _typed(f"motion {key}", value, _NUMBER)
+        elif key != "kind":
+            raise ValueError(f"unknown motion key {key!r} (expected kind, translation_amplitude, "
+                             f"{', '.join(PAN_NUMBERS)})")
     if kind == "static":
         return [AffineSimilarity.identity()] * (n_frames - 1)
-    if kind == "pan":
-        kw = {k: float(spec[k])
-              for k in ("angle_amplitude", "scale_amplitude", "period", "phase")
-              if k in spec}
-        if "translation_amplitude" in spec:
-            ta = spec["translation_amplitude"]
-            kw["translation_amplitude"] = (float(ta[0]), float(ta[1]))
-        return pan_motion_script(n_frames, **kw)
-    raise ValueError(f"unknown motion kind {kind!r} (expected 'pan' or 'static')")
+    return pan_motion_script(n_frames, **kw)
 
 
-def _sim_noise(args, config):
-    spec = _opt(args, config, "noise", "none")
+def _sim_noise(spec):
     if isinstance(spec, str):
-        if spec == "none":
-            return SimNoise()
-        if spec == "measurement":
-            return SimNoise(measurement=DEFAULT_MEASUREMENT)
-        if spec == "full":
-            return SimNoise(measurement=DEFAULT_MEASUREMENT,
-                            homography_process=FULL_NOISE_H_SCALE * DEFAULT_HOMOGRAPHY_PROCESS)
-        raise ValueError(f"unknown noise preset {spec!r} (none, measurement, full)")
-    if not isinstance(spec, dict):
-        raise ValueError(f"noise must be a preset name or an object, got {type(spec).__name__}")
+        if spec not in NOISE_PRESETS:
+            raise ValueError(f"unknown noise preset {spec!r} ({', '.join(NOISE_PRESETS)})")
+        return SimNoise(**NOISE_PRESETS[spec])
     keys = [f.name for f in dataclasses.fields(SimNoise)]
     unknown = sorted(set(spec) - set(keys))
     if unknown:
         raise ValueError(f"unknown noise key {unknown[0]!r} (expected {', '.join(keys)})")
-    return SimNoise(**{key: np.array(value, dtype=float) for key, value in spec.items()})
+    return SimNoise(**{key: _matrix(f"noise {key}", value) for key, value in spec.items()})
 
 
-def _cmd_simulate(args):
-    config = _load_config(args.config)
-    template = _template(args)
-    n_frames = int(_opt(args, config, "frames", 200))
-    dims = ImageDims(int(_opt(args, config, "width", 1280)),
-                     int(_opt(args, config, "height", 720)))
-    if "initial_homography" in config:
-        h0 = np.array(config["initial_homography"], dtype=float)
-    elif "view_corners" in config:
-        h0 = dlt_homography(template.corners(),
-                            np.array(config["view_corners"], dtype=float))
+def _sim_config(template, **settings):
+    """SimConfig from simulate's settings, SIMULATE_DEFAULTS filling the CLI's own."""
+    s = {**SIMULATE_DEFAULTS, **settings}
+    dims = ImageDims(s["width"], s["height"])
+    if "initial_homography" in s:
+        h0 = _matrix("initial_homography", s["initial_homography"])
+    elif "view_corners" in s:
+        h0 = dlt_homography(template.corners(), _matrix("view_corners", s["view_corners"]))
     else:
         h0 = _default_view(template, dims)
-    sim = SimConfig(
-        template=template,
-        dims=dims,
-        n_frames=n_frames,
-        initial_homography=h0,
-        motions=_motion_script(config.get("motion"), n_frames),
-        noise=_sim_noise(args, config),
-        dropout=float(_opt(args, config, "dropout", 0.0)),
-        seed=int(_opt(args, config, "seed", 0)),
-        sequence_id=str(_opt(args, config, "sequence_id", "sim")),
-    )
+    return SimConfig(
+        template=template, dims=dims, n_frames=s["frames"], initial_homography=h0,
+        motions=_motion_script(s["motion"], s["frames"]), noise=_sim_noise(s["noise"]),
+        **{key: s[key] for key in ("dropout", "seed", "sequence_id") if key in s})
+
+
+def _cmd_simulate(args, config, template):
+    sim = _options(args, config, functools.partial(_sim_config, template),
+                   "frames", "width", "height", "noise", "motion", "initial_homography",
+                   "view_corners", "dropout", "seed", "sequence_id")
     frames = generate_sequence(sim)
-    write_sequence(args.output, SequenceHeader(sim.sequence_id, dims), frames, template)
+    write_sequence(args.output, SequenceHeader(sim.sequence_id, sim.dims), frames, template)
     print(f"wrote {len(frames)} frames to {args.output}")
     return 0
 
 
-def _cmd_calibrate(args):
-    config = _load_config(args.config)
-    template = _template(args)
+def _cmd_calibrate(args, config, template):
+    ransac = _ransac(args, config)
+    settings = _options(args, config, dict, "min_samples")
     sequences = []
     for path in args.input:
         _, frames = read_sequence(path, template)
         records = training_records(frames)
         if records:
             sequences.append(records)
-    bank = run_calibrate(
-        sequences, template,
-        ransac=_ransac(args, config),
-        min_samples=int(_opt(args, config, "min_samples", MIN_SAMPLES_PER_KEYPOINT)))
+    bank = run_calibrate(sequences, template, ransac=ransac, **settings)
     write_bank(bank, args.output)
     n_kp = len(bank.measurement)
     print(f"wrote covariance bank ({n_kp} per-keypoint entries) to {args.output}")
     return 0
 
 
-def _cmd_filter(args):
-    config = _load_config(args.config)
-    template = _template(args)
+def _cmd_filter(args, config, template):
+    options = _options(args, config, functools.partial(FilterOptions, ransac=_ransac(args, config)),
+                       "motion_source", "max_condition", "seed", active_set="ekf_active_set",
+                       init_from_homography="init_all_from_homography")
     header, frames = read_sequence(args.input, template)
     bank = read_bank(args.bank) if args.bank else default_covariance_bank()
-    init_from_h = _opt(args, config, "init_from_homography", False)
-    options = FilterOptions(
-        motion_source=str(_opt(args, config, "motion_source", "provided")),
-        ransac=_ransac(args, config),
-        ekf_active_set=str(_opt(args, config, "active_set", "measured_now")),
-        init_all_from_homography=bool(init_from_h),
-        max_condition=float(_opt(args, config, "max_condition", 1e12)),
-        seed=int(_opt(args, config, "seed", 0)),
-    )
     estimates = run_filter(frames, template, bank, options)
     write_estimates(args.output, header, estimates, template)
     n_h = sum(1 for e in estimates if e.homography is not None)
@@ -203,11 +224,10 @@ def _cmd_filter(args):
     return 0
 
 
-def _cmd_baseline(args):
-    config = _load_config(args.config)
-    template = _template(args)
+def _cmd_baseline(args, config, template):
+    ransac = _ransac(args, config)
     header, frames = read_sequence(args.input, template)
-    estimates = run_ransac_baseline(frames, template, ransac=_ransac(args, config))
+    estimates = run_ransac_baseline(frames, template, ransac=ransac)
     write_estimates(args.output, header, estimates, template)
     n_h = sum(1 for e in estimates if e.homography is not None)
     print(f"wrote {len(estimates)} estimates ({n_h} with a homography) to {args.output}")
@@ -225,20 +245,16 @@ def _print_report(report):
         print(f"{name:<24}{mean:>14}{median:>14}")
 
 
-def _cmd_evaluate(args):
-    config = _load_config(args.config)
-    template = _template(args)
+def _cmd_evaluate(args, config, template):
+    settings = _options(args, config, dict, "pr_threshold_px", "projection_samples",
+                        seed="rng_seed")
     est_header, estimates = read_estimates(args.input, template)
     truth_header, truth = read_sequence(args.truth, template)
     if est_header.sequence_id != truth_header.sequence_id:
         raise FrameMismatch(
             f"estimates are for sequence {est_header.sequence_id!r}, "
             f"truth is {truth_header.sequence_id!r}")
-    report = run_evaluate(
-        estimates, truth, template, truth_header.dims,
-        rng_seed=int(_opt(args, config, "seed", 0)),
-        pr_threshold_px=float(_opt(args, config, "pr_threshold_px", 20.0)),
-        projection_samples=int(_opt(args, config, "projection_samples", 2500)))
+    report = run_evaluate(estimates, truth, template, truth_header.dims, **settings)
     write_report(report, args.output)
     _print_report(report)
     print(f"wrote report to {args.output}")
@@ -255,63 +271,61 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--template", help="field template JSON (default: built-in soccer pitch)")
     common.add_argument("--config", help="JSON file of option defaults for this command")
-    common.add_argument("--seed", type=int, help="random seed (default 0)")
+    ransac = RansacParams()
+    common.add_argument("--seed", type=int, help=f"random seed (default {ransac.seed})")
+
+    robust = argparse.ArgumentParser(add_help=False)
+    robust.add_argument("--threshold-px", type=float, help="robust-fit inlier threshold px "
+                        f"(default {ransac.inlier_threshold_px:g})")
+    robust.add_argument("--max-iters", type=int,
+                        help=f"robust-fit iteration cap (default {ransac.max_iters})")
 
     p = sub.add_parser("simulate", parents=[common],
                        help="generate a synthetic annotated sequence")
     p.add_argument("--output", required=True, help="sequence JSONL to write")
-    p.add_argument("--frames", type=int, help="number of frames (default 200)")
-    p.add_argument("--dropout", type=float, help="per-keypoint dropout probability (default 0)")
-    p.add_argument("--width", type=int, help="image width px (default 1280)")
-    p.add_argument("--height", type=int, help="image height px (default 720)")
-    p.add_argument("--sequence-id", dest="sequence_id", help="sequence id (default 'sim')")
-    p.add_argument("--noise", choices=("none", "measurement", "full"),
-                   help="noise preset (default none; matrices go in --config)")
+    sim = SIMULATE_DEFAULTS
+    p.add_argument("--frames", type=int, help=f"number of frames (default {sim['frames']})")
+    p.add_argument("--dropout", type=float,
+                   help=f"per-keypoint dropout probability (default {SimConfig.dropout:g})")
+    p.add_argument("--width", type=int, help=f"image width px (default {sim['width']})")
+    p.add_argument("--height", type=int, help=f"image height px (default {sim['height']})")
+    p.add_argument("--sequence-id", help=f"sequence id (default {SimConfig.sequence_id!r})")
+    p.add_argument("--noise", choices=NOISE_PRESETS,
+                   help=f"noise preset (default {sim['noise']}; matrices go in --config)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("calibrate", parents=[common],
+    p = sub.add_parser("calibrate", parents=[common, robust],
                        help="estimate a covariance bank from annotated sequences")
     p.add_argument("--input", required=True, nargs="+", help="sequence JSONL file(s)")
     p.add_argument("--output", required=True, help="bank JSON to write")
-    p.add_argument("--min-samples", dest="min_samples", type=int,
-                   help="per-keypoint sample floor before pooling (default 10)")
-    p.add_argument("--threshold-px", dest="threshold_px", type=float,
-                   help="robust-fit inlier threshold (default 3)")
-    p.add_argument("--max-iters", dest="max_iters", type=int,
-                   help="robust-fit iteration cap (default 2000)")
+    p.add_argument("--min-samples", type=int,
+                   help="per-keypoint sample floor before pooling "
+                        f"(default {MIN_SAMPLES_PER_KEYPOINT})")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("filter", parents=[common],
+    p = sub.add_parser("filter", parents=[common, robust],
                        help="run the two-stage filter over a sequence")
     p.add_argument("--input", required=True, help="sequence JSONL")
     p.add_argument("--bank", help="covariance bank JSON (default: built-in reference values)")
     p.add_argument("--output", required=True, help="estimates JSONL to write")
-    p.add_argument("--motion-source", dest="motion_source",
-                   choices=MOTION_SOURCES,
-                   help="inter-frame motion source (default provided)")
-    p.add_argument("--active-set", dest="active_set",
-                   choices=("measured_now", "measured_ever"),
-                   help="keypoints driving the homography update (default measured_now)")
-    p.add_argument("--init-from-homography", dest="init_from_homography",
-                   action="store_true", default=None,
+    p.add_argument("--motion-source", choices=MOTION_SOURCES,
+                   help=f"inter-frame motion source (default {FilterOptions.motion_source})")
+    p.add_argument("--active-set", choices=ACTIVE_SETS,
+                   help="keypoints driving the homography update "
+                        f"(default {FilterOptions.ekf_active_set})")
+    p.add_argument("--init-from-homography", action="store_true", default=None,
                    help="seed every keypoint track from the initial homography")
-    p.add_argument("--max-condition", dest="max_condition", type=float,
-                   help="innovation condition cap before skipping an update (default 1e12)")
-    p.add_argument("--threshold-px", dest="threshold_px", type=float,
-                   help="init robust-fit inlier threshold (default 3)")
-    p.add_argument("--max-iters", dest="max_iters", type=int,
-                   help="init robust-fit iteration cap (default 2000)")
+    p.add_argument("--max-condition", type=float,
+                   help="innovation condition cap before skipping an update "
+                        f"(default {FilterOptions.max_condition:g})")
     p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("baseline", parents=[common],
+    p = sub.add_parser("baseline", parents=[common, robust],
                        help="per-frame robust homography fits, no temporal model")
     p.add_argument("--input", required=True, help="sequence JSONL")
     p.add_argument("--output", required=True, help="estimates JSONL to write")
-    p.add_argument("--threshold-px", dest="threshold_px", type=float,
-                   help="inlier threshold px (default 3)")
-    p.add_argument("--max-iters", dest="max_iters", type=int,
-                   help="iteration cap (default 2000)")
-    p.add_argument("--confidence", type=float, help="stopping confidence (default 0.99)")
+    p.add_argument("--confidence", type=float,
+                   help=f"stopping confidence (default {ransac.confidence})")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("evaluate", parents=[common],
@@ -319,10 +333,10 @@ def build_parser():
     p.add_argument("--input", required=True, help="estimates JSONL")
     p.add_argument("--truth", required=True, help="annotated sequence JSONL")
     p.add_argument("--output", required=True, help="report JSON to write")
-    p.add_argument("--pr-threshold-px", dest="pr_threshold_px", type=float,
-                   help="precision/recall match threshold px (default 20)")
-    p.add_argument("--projection-samples", dest="projection_samples", type=int,
-                   help="samples for the projection error (default 2500)")
+    p.add_argument("--pr-threshold-px", type=float,
+                   help=f"precision/recall match threshold px (default {PR_THRESHOLD_PX:g})")
+    p.add_argument("--projection-samples", type=int,
+                   help=f"samples for the projection error (default {PROJECTION_ERROR_SAMPLES})")
     p.set_defaults(func=_cmd_evaluate)
     return parser
 
@@ -330,8 +344,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (FieldRegError, ValueError, OSError) as e:
+        config = _load_json(args.config) if args.config else {}
+        if not isinstance(config, dict):
+            raise FormatError("a config file must hold a JSON object", path=args.config)
+        template = read_template(args.template) if args.template else standard_soccer_template()
+        return args.func(args, config, template)
+    except (FieldRegError, ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -53,8 +53,8 @@ class FieldTemplate:
             raise ValueError("duplicate keypoint ids")
         if not np.all(np.isfinite(pos)):
             raise ValueError("non-finite keypoint position")
-        if self.width_m <= 0 or self.height_m <= 0:
-            raise ValueError("field dimensions must be positive")
+        if not all(np.isfinite(d) and d > 0 for d in (self.width_m, self.height_m)):
+            raise ValueError("field dimensions must be finite and positive")
         if (pos[:, 0].min() < 0 or pos[:, 0].max() > self.width_m
                 or pos[:, 1].min() < 0 or pos[:, 1].max() > self.height_m):
             raise ValueError("keypoint positions must lie within the field rectangle")

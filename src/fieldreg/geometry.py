@@ -22,29 +22,32 @@ from .errors import (
 # magnitude below which a 3x3 map counts as singular.
 EPS_T = 1e-12
 EPS_DET = 1e-12
+DLT_RANK_RTOL = 1e-9  # least ratio s[7] / s[0] of a full-rank DLT system
 
+RANSAC_INLIER_THRESHOLD_PX = 3.0
+RANSAC_MAX_ITERS = 2000
 RANSAC_CONFIDENCE = 0.99
 
 
-def normalize_homogeneous(point, eps=EPS_T):
+def normalize_homogeneous(point):
     """Euclidean image (x/t, y/t) of a homogeneous vector (x, y, t).
 
-    Raises PointAtInfinity when |t| <= eps.
+    Raises PointAtInfinity when |t| <= EPS_T.
     """
     p = np.asarray(point, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"expected a homogeneous (x, y, t) vector, got shape {p.shape}")
     t = p[2]
-    if abs(t) <= eps:
-        raise PointAtInfinity(f"homogeneous scale {t} has magnitude <= {eps}")
+    if abs(t) <= EPS_T:
+        raise PointAtInfinity(f"homogeneous scale {t} has magnitude <= {EPS_T}")
     return p[:2] / t
 
 
-def apply_homography(H, points, eps=EPS_T):
+def apply_homography(H, points):
     """Map Euclidean point(s) through H and renormalize.
 
     points may be a single (2,) point or an (N, 2) array; the result has the
-    same shape.  Raises PointAtInfinity if any mapped point has |t| <= eps.
+    same shape.  Raises PointAtInfinity if any mapped point has |t| <= EPS_T.
     """
     H = np.asarray(H, dtype=float)
     pts = np.asarray(points, dtype=float)
@@ -52,7 +55,7 @@ def apply_homography(H, points, eps=EPS_T):
     P = np.atleast_2d(pts)
     hom = P @ H[:, :2].T + H[:, 2]
     t = hom[:, 2]
-    if np.any(np.abs(t) <= eps):
+    if np.any(np.abs(t) <= EPS_T):
         raise PointAtInfinity("a mapped point lies at projective infinity")
     out = hom[:, :2] / t[:, None]
     return out[0] if single else out
@@ -65,36 +68,36 @@ def homography_denominators(H, points):
     return P @ H[2, :2] + H[2, 2]
 
 
-def normalize_homography(H, eps=EPS_T):
+def normalize_homography(H):
     """Rescale H so the bottom-right entry is exactly 1."""
     H = np.asarray(H, dtype=float)
-    if abs(H[2, 2]) <= eps:
+    if abs(H[2, 2]) <= EPS_T:
         raise SingularMatrix("bottom-right entry too close to zero to normalize")
     return H / H[2, 2]
 
 
-def invert_homography(H, eps_det=EPS_DET, eps=EPS_T):
+def invert_homography(H):
     """Inverse homography, renormalized to h33 = 1.
 
     Closed-form cofactor inverse in Python floats, evaluated in a fixed order,
     so the result is the same whichever LAPACK/BLAS kernels NumPy uses.
-    Raises SingularMatrix when |det| is at most eps_det, when the inverse's
-    h33 is at most eps relative to it, or when either is NaN.
+    Raises SingularMatrix when |det| is at most EPS_DET, when the inverse's
+    h33 is at most EPS_T relative to it, or when either is NaN.
     """
-    return np.array(invert_rows(np.asarray(H, dtype=float).tolist(), eps_det, eps))
+    return np.array(invert_rows(np.asarray(H, dtype=float).tolist()))
 
 
-def invert_rows(rows, eps_det=EPS_DET, eps=EPS_T):
+def invert_rows(rows):
     """invert_homography on a 3x3 nested list of floats; returns one."""
     (a, b, c), (d, e, f), (g, h, i) = rows
     c11, c12, c13 = e * i - f * h, f * g - d * i, d * h - e * g
     det = a * c11 + b * c12 + c * c13
     # negated tests, so that a NaN fails them too: the divisions below then
     # never meet a zero
-    if not abs(det) > eps_det:
-        raise SingularMatrix(f"|det| = {abs(det):.3e} <= {eps_det}")
+    if not abs(det) > EPS_DET:
+        raise SingularMatrix(f"|det| = {abs(det):.3e} <= {EPS_DET}")
     c33 = a * e - b * d
-    if not abs(c33 / det) > eps:
+    if not abs(c33 / det) > EPS_T:
         raise SingularMatrix("inverse cannot be normalized to h33 = 1")
     # The adjugate (transposed cofactors) scaled by its own bottom-right
     # entry: the determinant cancels, and that entry comes out exactly 1.
@@ -128,7 +131,7 @@ def _conditioning_transform(pts):
     return (pts - c) * s, T
 
 
-def dlt_homography(src, dst, rank_rtol=1e-9):
+def dlt_homography(src, dst):
     """Least-squares homography with src mapped onto dst (direct linear transform).
 
     Both inputs are (M, 2) with M >= 4.  Solved in Hartley-normalized
@@ -169,7 +172,7 @@ def dlt_homography(src, dst, rank_rtol=1e-9):
     _, s, Vt = np.linalg.svd(A)
     # Eight singular values for M = 4, nine for M > 4; index 7 must be solidly
     # nonzero either way or the solution direction is not unique.
-    if s[7] <= rank_rtol * s[0]:
+    if s[7] <= DLT_RANK_RTOL * s[0]:
         raise DegenerateConfiguration("correspondence system is rank deficient")
     Hn = Vt[-1].reshape(3, 3)
     H = np.linalg.inv(Td) @ Hn @ Ts
@@ -178,14 +181,14 @@ def dlt_homography(src, dst, rank_rtol=1e-9):
     return H / H[2, 2]
 
 
-def reprojection_distances(H, src, dst, eps=EPS_T):
+def reprojection_distances(H, src, dst):
     """Distances |H(src_i) - dst_i|; inf where src_i maps to infinity."""
     src = np.atleast_2d(np.asarray(src, dtype=float))
     dst = np.atleast_2d(np.asarray(dst, dtype=float))
     hom = src @ np.asarray(H, dtype=float)[:, :2].T + H[:, 2]
     t = hom[:, 2]
     out = np.full(src.shape[0], np.inf)
-    ok = np.abs(t) > eps
+    ok = np.abs(t) > EPS_T
     proj = hom[ok, :2] / t[ok, None]
     out[ok] = np.sqrt(((proj - dst[ok]) ** 2).sum(axis=1))
     return out
@@ -195,28 +198,22 @@ def reprojection_distances(H, src, dst, eps=EPS_T):
 class RansacParams:
     """Knobs for robust homography fitting."""
 
-    inlier_threshold_px: float = 3.0
-    max_iters: int = 2000
+    inlier_threshold_px: float = RANSAC_INLIER_THRESHOLD_PX
+    max_iters: int = RANSAC_MAX_ITERS
     seed: int = 0
     confidence: float = RANSAC_CONFIDENCE
 
     def __post_init__(self):
-        check_threshold("inlier_threshold_px", self.inlier_threshold_px)
-        check_iters("max_iters", self.max_iters)
+        # NaN would count no inliers, and a negative value acts as its
+        # magnitude once squared
+        t = self.inlier_threshold_px
+        if not (math.isfinite(t) and t > 0.0):
+            raise ValueError(f"inlier_threshold_px must be a finite number above 0, got {t}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         # the adaptive stop takes log(1 - confidence)
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be strictly between 0 and 1, got {self.confidence}")
-
-
-def check_threshold(name, value):
-    # NaN would count no inliers, and a negative value acts as its magnitude once squared
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be a finite number above 0, got {value}")
-
-
-def check_iters(name, value):
-    if not value >= 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _minimal_homographies(src4, dst4):
@@ -262,8 +259,8 @@ def _minimal_homographies(src4, dst4):
     return H, valid
 
 
-def ransac_homography(src, dst, inlier_threshold_px=3.0, max_iters=2000, rng_seed=0,
-                      confidence=RANSAC_CONFIDENCE):
+def ransac_homography(src, dst, inlier_threshold_px=RANSAC_INLIER_THRESHOLD_PX,
+                      max_iters=RANSAC_MAX_ITERS, rng_seed=0, confidence=RANSAC_CONFIDENCE):
     """Robust homography from correspondences with >= some outliers.
 
     Minimal 4-point hypotheses evaluated in vectorized chunks, one-sided

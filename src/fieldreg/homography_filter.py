@@ -30,21 +30,11 @@ from .geometry import (
     homography_params,
     ransac_homography,
 )
+from .keypoint_filter import check_covariance
 from .motion import AffineSimilarity
 
 MAX_INNOVATION_CONDITION = 1e12
 _EPS = np.finfo(float).eps
-
-
-def _check_square(name, arr, k):
-    a = np.asarray(arr, dtype=float)
-    if a.shape != (k, k):
-        raise DimensionMismatch(f"{name} must be ({k}, {k}), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"non-finite entries in {name}")
-    if np.max(np.abs(a - a.T)) > 1e-9:
-        raise ValueError(f"{name} must be symmetric")
-    return a
 
 
 @dataclass(frozen=True)
@@ -56,8 +46,8 @@ class HomographyNoiseConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "homography_process",
-                           _check_square("homography_process", self.homography_process, 8))
-        object.__setattr__(self, "init_cov", _check_square("init_cov", self.init_cov, 8))
+                           check_covariance("homography_process", self.homography_process, (8, 8)))
+        object.__setattr__(self, "init_cov", check_covariance("init_cov", self.init_cov, (8, 8)))
 
 
 @dataclass(frozen=True)
@@ -157,13 +147,13 @@ def ekf_predict(state, motion, noise):
     return replace(state, h_mean=homography_params(H_new), cov=0.5 * (cov + cov.T))
 
 
-def _projection_terms(state, active_idx, eps):
+def _projection_terms(state, active_idx):
     """X, Y, D (K,) and the projections uv (2, K) of the active keypoints."""
     h = state.h_mean
     pts = state.field_points()[active_idx]
     X, Y = pts[:, 0], pts[:, 1]
     D = h[2] * X + h[5] * Y + 1.0
-    if np.any(np.abs(D) <= eps):
+    if np.any(np.abs(D) <= EPS_T):
         raise NumericalDegeneracy("projective denominator vanished at a field keypoint")
     # rows (h11, h21), (h12, h22), (h13, h23): u and v in one pass
     uv = (h[0:2, None] * X + h[3:5, None] * Y + h[6:8, None]) / D
@@ -175,17 +165,17 @@ def _check_active(active_idx, n):
         raise UnknownKeypointId(f"active index out of range for {n} keypoints")
 
 
-def predict_measurements(state, active_idx, eps=EPS_T):
+def predict_measurements(state, active_idx):
     """Projected pixel positions (K, 2) of the active field keypoints."""
     active_idx = np.asarray(active_idx, dtype=int)
     _check_active(active_idx, state.n)
-    return _projection_terms(state, active_idx, eps)[3].T.copy()
+    return _projection_terms(state, active_idx)[3].T.copy()
 
 
-def _jacobian_terms(state, active_idx, eps):
+def _jacobian_terms(state, active_idx):
     """Projections (K, 2) and the homography Jacobian (2K, 8), in one pass."""
     h = state.h_mean
-    X, Y, D, uv = _projection_terms(state, active_idx, eps)
+    X, Y, D, uv = _projection_terms(state, active_idx)
     # row pairs (u, v) per keypoint; columns follow measurement_jacobian
     Jh = np.zeros((active_idx.size, 2, 8))
     Jh[:, 0, 0] = Jh[:, 1, 1] = X / D
@@ -196,7 +186,7 @@ def _jacobian_terms(state, active_idx, eps):
     return uv.T, Jh.reshape(2 * active_idx.size, 8)
 
 
-def measurement_jacobian(state, active_idx, eps=EPS_T):
+def measurement_jacobian(state, active_idx):
     """Jacobian (2K, 8) of the projections w.r.t. the homography parameters.
 
     Rows alternate u, v per active keypoint; columns follow h_mean's
@@ -205,11 +195,11 @@ def measurement_jacobian(state, active_idx, eps=EPS_T):
         du/d(h11, h12, h13) = (X, Y, 1)/D         (v-row: h21, h22, h23)
         du/d(h31, h32) = -(u X, u Y)/D            (v-row: -(v X, v Y)/D)
 
-    Raises NumericalDegeneracy when a denominator magnitude is <= eps.
+    Raises NumericalDegeneracy when a denominator magnitude is <= EPS_T.
     """
     active_idx = np.asarray(active_idx, dtype=int)
     _check_active(active_idx, state.n)
-    return _jacobian_terms(state, active_idx, eps)[1]
+    return _jacobian_terms(state, active_idx)[1]
 
 
 def _innovation_bounds(JC, a, b, c, det):
@@ -301,8 +291,7 @@ def _exact_update(P, J, R_blocks, nu, max_condition):
     return K @ nu, 0.5 * (cov + cov.T)
 
 
-def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITION,
-               eps=EPS_T):
+def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITION):
     """Correct the state against the first-stage posterior.
 
     The measurement for each active keypoint is the first-stage filter's
@@ -337,7 +326,7 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     if not np.all(kp_state.measured_ever[active_idx]):
         raise ValueError("active keypoint was never measured; it has no estimate to fuse")
 
-    pred, J = _jacobian_terms(state, active_idx, eps)
+    pred, J = _jacobian_terms(state, active_idx)
     nu = (kp_state.keypoint_means()[active_idx] - pred).ravel()
     R_blocks = kp_state.cov[active_idx]
 

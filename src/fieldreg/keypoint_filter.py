@@ -57,16 +57,19 @@ class MeasurementFrame:
         return self.ids.size
 
 
-def _check_block_array(name, arr, n):
-    a = np.asarray(arr, dtype=float)
-    if a.shape != (n, 2, 2):
-        raise DimensionMismatch(f"{name} must have shape ({n}, 2, 2), got {a.shape}")
+def check_covariance(name, value, shape):
+    """value as a float array of the given shape whose matrices (over the last
+    two axes) are finite and symmetric with nonnegative diagonals.  Raises
+    DimensionMismatch or ValueError naming the value otherwise."""
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape:
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"non-finite entries in {name}")
-    if np.max(np.abs(a - a.transpose(0, 2, 1))) > 1e-9:
-        raise ValueError(f"{name} blocks must be symmetric")
-    if np.any(a[:, 0, 0] < 0) or np.any(a[:, 1, 1] < 0):
-        raise ValueError(f"{name} blocks must have nonnegative diagonals")
+    if np.max(np.abs(a - np.swapaxes(a, -1, -2))) > 1e-9:
+        raise ValueError(f"{name} must be symmetric")
+    if np.any(np.diagonal(a, axis1=-2, axis2=-1) < 0):
+        raise ValueError(f"{name} must have nonnegative diagonals")
     return a
 
 
@@ -78,8 +81,9 @@ class NoiseConfig:
     measurement: np.ndarray  # (N, 2, 2)
 
     def __post_init__(self):
-        proc = _check_block_array("process", self.process, np.asarray(self.process).shape[0])
-        meas = _check_block_array("measurement", self.measurement, proc.shape[0])
+        n = np.asarray(self.process).shape[0]
+        proc = check_covariance("process", self.process, (n, 2, 2))
+        meas = check_covariance("measurement", self.measurement, (n, 2, 2))
         object.__setattr__(self, "process", proc)
         object.__setattr__(self, "measurement", meas)
 

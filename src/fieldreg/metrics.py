@@ -25,6 +25,7 @@ from .geometry import (
 REFERENCE_WIDTH_PX = 1280.0
 REFERENCE_HEIGHT_PX = 720.0
 AP_THRESHOLDS_PX = (5.0, 10.0, 15.0, 20.0)
+PR_THRESHOLD_PX = 20.0
 PROJECTION_ERROR_SAMPLES = 2500
 
 
@@ -47,14 +48,14 @@ def _project(H, x, y):
         return (a * x + b * y + c) / t, (d * x + e * y + f) / t, t
 
 
-def _mapped_quad(H, corners, eps=EPS_T):
+def _mapped_quad(H, corners):
     """Corners through H (3x3 nested list) as a validated convex quad;
     DegenerateProjection otherwise.  Scalar arithmetic, in _project's order."""
     (a, b, c), (d, e, f), (g, h, i) = H
     den = [g * x + h * y + i for x, y in corners]
-    if any(t <= eps for t in den):
+    if any(t <= EPS_T for t in den):
         raise DegenerateProjection("mapped vertex at or behind projective infinity")
-    # every t is above eps or NaN, so no division by zero
+    # every t is above EPS_T or NaN, so no division by zero
     pts = [((a * x + b * y + c) / t, (d * x + e * y + f) / t)
            for (x, y), t in zip(corners, den)]
     try:
@@ -84,7 +85,7 @@ def _iou(poly_a, poly_b):
     return inter / union
 
 
-def iou_entire(h_gt, h_pred, template, dims, eps=EPS_T):
+def iou_entire(h_gt, h_pred, template, dims):
     """Whole-field IoU in template space.
 
     The field rectangle is pushed to the image by the ground truth and pulled
@@ -95,25 +96,25 @@ def iou_entire(h_gt, h_pred, template, dims, eps=EPS_T):
     del dims
     comp = _composite(invert_rows(_rows(h_pred)), _rows(h_gt))
     field = template.corners().tolist()
-    return _iou(_mapped_quad(comp, field, eps), field)
+    return _iou(_mapped_quad(comp, field), field)
 
 
-def iou_entire_image(h_gt, h_pred, dims, eps=EPS_T):
+def iou_entire_image(h_gt, h_pred, dims):
     """Whole-field IoU composited in image space (the convention some public
     evaluation code uses): the image rectangle goes to the template through
     the ground truth inverse and back through the prediction.  Raises
     SingularMatrix when h_gt is singular."""
     comp = _composite(_rows(h_pred), invert_rows(_rows(h_gt)))
     image = dims.corners().tolist()
-    return _iou(_mapped_quad(comp, image, eps), image)
+    return _iou(_mapped_quad(comp, image), image)
 
 
-def iou_part(h_gt, h_pred, dims, eps=EPS_T):
+def iou_part(h_gt, h_pred, dims):
     """IoU of the two template-space projections of the image rectangle
     (visible part only).  Raises SingularMatrix when either map is singular."""
     image = dims.corners().tolist()
-    quad_gt = _mapped_quad(invert_rows(_rows(h_gt)), image, eps)
-    quad_pred = _mapped_quad(invert_rows(_rows(h_pred)), image, eps)
+    quad_gt = _mapped_quad(invert_rows(_rows(h_gt)), image)
+    quad_pred = _mapped_quad(invert_rows(_rows(h_pred)), image)
     return _iou(quad_gt, quad_pred)
 
 
@@ -150,7 +151,7 @@ def _sample_convex_polygon(vertices, n_samples, rng):
 
 
 def projection_error(h_gt, h_pred, template, dims, n_samples=PROJECTION_ERROR_SAMPLES,
-                     rng_seed=0, eps=EPS_T):
+                     rng_seed=0):
     """Mean re-projection disagreement on the ground, in meters.
 
     The visible pitch is the image rectangle intersected with the
@@ -169,7 +170,7 @@ def projection_error(h_gt, h_pred, template, dims, n_samples=PROJECTION_ERROR_SA
     rows_gt = _rows(h_gt)
     inv_gt = invert_rows(rows_gt)
     inv_pred = invert_rows(_rows(h_pred))
-    field_quad = _mapped_quad(rows_gt, template.corners().tolist(), eps)
+    field_quad = _mapped_quad(rows_gt, template.corners().tolist())
     visible = clip_polygon(field_quad, dims.corners().tolist())
     if polygon_area(visible) <= 0.0:
         raise DegenerateProjection("ground-truth field projection misses the image")
@@ -177,25 +178,25 @@ def projection_error(h_gt, h_pred, template, dims, n_samples=PROJECTION_ERROR_SA
 
     u_gt, v_gt, t_gt = _project(inv_gt, x, y)
     u_pred, v_pred, t_pred = _project(inv_pred, x, y)
-    if np.any(np.abs(t_gt) <= eps) or np.any(np.abs(t_pred) <= eps):
+    if np.any(np.abs(t_gt) <= EPS_T) or np.any(np.abs(t_pred) <= EPS_T):
         raise DegenerateProjection("sampled image point has no finite field image")
     du = u_gt - u_pred
     dv = v_gt - v_pred
     return float(np.mean(np.sqrt(du * du + dv * dv)))
 
 
-def reprojection_error(h_gt, h_pred, template, dims, eps=EPS_T):
+def reprojection_error(h_gt, h_pred, template, dims):
     """Mean keypoint displacement in pixels over GT-visible keypoints, as a
     fraction of image height."""
     x, y = template.positions[:, 0], template.positions[:, 1]
     u_gt, v_gt, den_gt = _project(_rows(h_gt), x, y)
     w, h = float(dims.width_px), float(dims.height_px)
-    vis = (den_gt > eps) & (u_gt >= 0) & (u_gt <= w) & (v_gt >= 0) & (v_gt <= h)
+    vis = (den_gt > EPS_T) & (u_gt >= 0) & (u_gt <= w) & (v_gt >= 0) & (v_gt <= h)
     if not np.any(vis):
         raise DegenerateProjection("no template keypoint visible under the ground truth")
 
     u_pred, v_pred, den_pred = _project(_rows(h_pred), x[vis], y[vis])
-    if np.any(np.abs(den_pred) <= eps):
+    if np.any(np.abs(den_pred) <= EPS_T):
         raise DegenerateProjection("predicted projection sends a visible keypoint to infinity")
     du = u_pred - u_gt[vis]
     dv = v_pred - v_gt[vis]
@@ -274,7 +275,7 @@ class PrecisionRecall:
     n_ground_truth: int
 
 
-def precision_recall(det_ids, det_xy, gt_ids, gt_xy, dims, threshold_px=20.0):
+def precision_recall(det_ids, det_xy, gt_ids, gt_xy, dims, threshold_px=PR_THRESHOLD_PX):
     """Detection precision/recall at one distance threshold (reference space).
 
     A detection is a true positive when a ground-truth keypoint with the same

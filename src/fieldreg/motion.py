@@ -11,8 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, InsufficientPoints, NoConsensus
+from .geometry import RANSAC_CONFIDENCE
 
+# estimate_global_motion's MAD cut, RANSAC inlier threshold and iteration cap
 MAD_MULTIPLIER = 3.0
+MOTION_INLIER_THRESHOLD_PX = 1.5
+MOTION_MAX_ITERS = 500
 _EPS = np.finfo(float).eps
 
 
@@ -190,16 +194,17 @@ def _residuals(params, p1, c):
     return np.sqrt(d[:, 0] + d[:, 1])
 
 
-def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iters=500,
-                           rng_seed=0, mad_multiplier=MAD_MULTIPLIER, confidence=0.99):
+def estimate_global_motion(prev_pts, curr_pts, rng_seed=0):
     """Robust global motion from (possibly contaminated) point correspondences.
 
     Two stages: (i) drop pairs whose displacement sits farther from the median
-    displacement than mad_multiplier times the median absolute deviation;
-    (ii) RANSAC over 2-point similarity hypotheses with a final least-squares
-    refit over the consensus.  Returns (AffineSimilarity, inlier_mask) with
-    the mask in input order (MAD-discarded pairs are False).  Every fit is
-    the closed form from centred sums.
+    displacement than MAD_MULTIPLIER times the median absolute deviation;
+    (ii) RANSAC over 2-point similarity hypotheses, at most MOTION_MAX_ITERS
+    of them, with inliers within MOTION_INLIER_THRESHOLD_PX and an adaptive
+    stop at RANSAC_CONFIDENCE, then a final least-squares refit over the
+    consensus.  Returns (AffineSimilarity, inlier_mask) with the mask in
+    input order (MAD-discarded pairs are False).  Every fit is the closed
+    form from centred sums.
 
     The pairs are sorted canonically before sampling, so the result does not
     depend on input order for a fixed seed.  Raises ValueError on non-finite
@@ -218,7 +223,7 @@ def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iter
     disp = c - p
     med = _median(disp)
     r = np.sqrt(((disp - med) ** 2).sum(axis=1))
-    thresh = mad_multiplier * _median(r)
+    thresh = MAD_MULTIPLIER * _median(r)
     if thresh <= 0.0:
         thresh = 1e-9  # all displacements identical up to noise below any MAD
     keep = r <= thresh
@@ -234,9 +239,9 @@ def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iter
     rng = np.random.Generator(np.random.Philox(rng_seed))
     best_count = 0
     best_inliers = None
-    needed = max_iters
+    needed = MOTION_MAX_ITERS
     it = 0
-    while it < min(max_iters, needed):
+    while it < min(MOTION_MAX_ITERS, needed):
         it += 1
         i, j = rng.choice(mk, size=2, replace=False)
         ri, rj = kpc[i].tolist(), kpc[j].tolist()
@@ -245,7 +250,7 @@ def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iter
         cand = _fit_pair(ri, rj)
         if cand is None:
             continue
-        inl = _residuals(cand, kp1, kc) < inlier_threshold_px
+        inl = _residuals(cand, kp1, kc) < MOTION_INLIER_THRESHOLD_PX
         count = int(inl.sum())
         if count > best_count:
             best_count = count
@@ -255,14 +260,14 @@ def estimate_global_motion(prev_pts, curr_pts, inlier_threshold_px=1.5, max_iter
                 break
             denom = np.log1p(-(w ** 2))
             if denom < 0.0:
-                needed = int(np.ceil(np.log(1.0 - confidence) / denom))
+                needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
 
     if best_count < 2 or best_inliers is None:
         raise NoConsensus(f"best consensus has {best_count} pairs (need >= 2)")
 
     params = _fit(kpc[best_inliers])
     model = _similarity(params)
-    mask_sorted = keep & (_residuals(params, p1, c) < inlier_threshold_px)
+    mask_sorted = keep & (_residuals(params, p1, c) < MOTION_INLIER_THRESHOLD_PX)
 
     mask = np.zeros(n, dtype=bool)
     mask[order] = mask_sorted

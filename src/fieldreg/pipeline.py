@@ -21,15 +21,9 @@ from .errors import (
     SingularMatrix,
     UnknownKeypointId,
 )
-from .geometry import (
-    EPS_DET,
-    RansacParams,
-    apply_homography,
-    check_iters,
-    check_threshold,
-    ransac_homography,
-)
+from .geometry import EPS_DET, RansacParams, apply_homography, ransac_homography
 from .homography_filter import (
+    MAX_INNOVATION_CONDITION,
     ekf_init,
     ekf_predict,
     ekf_update,
@@ -42,7 +36,8 @@ from .keypoint_filter import (
     lkf_update,
 )
 from .metrics import (
-    AP_THRESHOLDS_PX,
+    PR_THRESHOLD_PX,
+    PROJECTION_ERROR_SAMPLES,
     average_precision,
     iou_entire,
     iou_entire_image,
@@ -54,33 +49,32 @@ from .metrics import (
 )
 from .motion import AffineSimilarity, estimate_global_motion
 
+# the first of each is the default
 MOTION_SOURCES = ("provided", "estimate", "identity")
+# keypoints driving the homography update, named by the KeypointFilterState mask
+ACTIVE_SETS = ("measured_now", "measured_ever")
 
 
 @dataclass(frozen=True)
 class FilterOptions:
     """Run-time knobs for the two-stage filter."""
 
-    motion_source: str = "provided"
+    motion_source: str = MOTION_SOURCES[0]
     ransac: RansacParams = dc_field(default_factory=RansacParams)
-    ekf_active_set: str = "measured_now"      # or "measured_ever"
+    ekf_active_set: str = ACTIVE_SETS[0]
     init_all_from_homography: bool = False
-    max_condition: float = 1e12
-    motion_threshold_px: float = 1.5
-    motion_max_iters: int = 500
+    max_condition: float = MAX_INNOVATION_CONDITION
     seed: int = 0
 
     def __post_init__(self):
         if self.motion_source not in MOTION_SOURCES:
             raise ValueError(f"motion_source must be one of {MOTION_SOURCES}")
-        if self.ekf_active_set not in ("measured_now", "measured_ever"):
-            raise ValueError("ekf_active_set must be 'measured_now' or 'measured_ever'")
+        if self.ekf_active_set not in ACTIVE_SETS:
+            raise ValueError(f"ekf_active_set must be one of {ACTIVE_SETS}")
         # a condition number is never below 1: a smaller cap, or NaN, would
         # skip every homography update
         if not self.max_condition >= 1.0:
             raise ValueError(f"max_condition must be at least 1, got {self.max_condition}")
-        check_threshold("motion_threshold_px", self.motion_threshold_px)
-        check_iters("motion_max_iters", self.motion_max_iters)
 
 
 @dataclass(frozen=True)
@@ -107,11 +101,8 @@ def _resolve_motion(frame, options):
     if flow is None or flow[0].shape[0] < 2:
         return AffineSimilarity.identity(), ["identity_motion_fallback"]
     try:
-        model, _ = estimate_global_motion(
-            flow[0], flow[1],
-            inlier_threshold_px=options.motion_threshold_px,
-            max_iters=options.motion_max_iters,
-            rng_seed=options.seed + frame.frame_index)
+        model, _ = estimate_global_motion(flow[0], flow[1],
+                                          rng_seed=options.seed + frame.frame_index)
     except (InsufficientPoints, NoConsensus):
         return AffineSimilarity.identity(), ["identity_motion_fallback"]
     return model, []
@@ -190,10 +181,7 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
         except SingularInnovation:
             flags.append("keypoint_update_skipped")
         h_state = ekf_predict(h_state, motion, h_noise)
-        if options.ekf_active_set == "measured_now":
-            active = np.flatnonzero(kp_state.measured_now)
-        else:
-            active = np.flatnonzero(kp_state.measured_ever)
+        active = np.flatnonzero(getattr(kp_state, options.ekf_active_set))
         if active.size:
             try:
                 h_state = ekf_update(h_state, kp_state, active,
@@ -291,8 +279,7 @@ class MetricsReport:
 
 
 def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
-                 ap_thresholds=AP_THRESHOLDS_PX, pr_threshold_px=20.0,
-                 projection_samples=2500):
+                 pr_threshold_px=PR_THRESHOLD_PX, projection_samples=PROJECTION_ERROR_SAMPLES):
     """Score predictions against ground truth, frame-aligned by index.
 
     Frames without a prediction (pre-init) or without ground truth are
@@ -382,8 +369,7 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
             per_metric["precision"].append(pr.precision)
             per_metric["recall"].append(pr.recall)
             values["average_precision"] = average_precision(
-                raw_det, pred.keypoint_positions, raw_gt, truth.gt_positions,
-                dims, thresholds=ap_thresholds)
+                raw_det, pred.keypoint_positions, raw_gt, truth.gt_positions, dims)
             per_metric["average_precision"].append(values["average_precision"])
 
         frames.append(FrameMetrics(idx, values, tuple(flags)))

@@ -24,18 +24,9 @@ from .geometry import (
     homography_params,
     normalize_homography,
 )
-from .keypoint_filter import MeasurementFrame
+from .keypoint_filter import MeasurementFrame, check_covariance
 from .motion import AffineSimilarity
 from .seqio import SequenceFrame
-
-
-def _as_cov(name, value, shape):
-    a = np.asarray(value, dtype=float)
-    if a.shape != shape:
-        raise DimensionMismatch(f"{name} must have shape {shape}, got {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-9:
-        raise ValueError(f"{name} must be symmetric")
-    return a
 
 
 @dataclass(frozen=True)
@@ -53,11 +44,12 @@ class SimNoise:
     keypoint_process: np.ndarray = dc_field(default_factory=lambda: np.zeros((2, 2)))
 
     def __post_init__(self):
-        object.__setattr__(self, "measurement", _as_cov("measurement", self.measurement, (2, 2)))
+        object.__setattr__(self, "measurement",
+                           check_covariance("measurement", self.measurement, (2, 2)))
         object.__setattr__(self, "homography_process",
-                           _as_cov("homography_process", self.homography_process, (8, 8)))
+                           check_covariance("homography_process", self.homography_process, (8, 8)))
         object.__setattr__(self, "keypoint_process",
-                           _as_cov("keypoint_process", self.keypoint_process, (2, 2)))
+                           check_covariance("keypoint_process", self.keypoint_process, (2, 2)))
 
 
 def _chol_or_none(cov):
@@ -79,8 +71,10 @@ class SimConfig:
     sequence_id: str = "sim"
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_homography",
-                           normalize_homography(np.asarray(self.initial_homography, dtype=float)))
+        h0 = np.asarray(self.initial_homography, dtype=float)
+        if h0.shape != (3, 3):
+            raise DimensionMismatch(f"initial_homography must have shape (3, 3), got {h0.shape}")
+        object.__setattr__(self, "initial_homography", normalize_homography(h0))
         object.__setattr__(self, "motions", tuple(self.motions))
         if self.n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
@@ -93,12 +87,12 @@ class SimConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-def visible_keypoints(H, template, dims, eps=EPS_T):
+def visible_keypoints(H, template, dims):
     """(indices, projected positions) of template keypoints landing in-bounds
     with a positive projective denominator."""
     positions = template.positions
     den = homography_denominators(H, positions)
-    idx = np.flatnonzero(den > eps)
+    idx = np.flatnonzero(den > EPS_T)
     H = np.asarray(H, dtype=float)
     proj = (positions[idx] @ H[:2, :2].T + H[:2, 2]) / den[idx, None]
     w, h = float(dims.width_px), float(dims.height_px)
@@ -112,8 +106,11 @@ def pan_motion_script(n_frames, angle_amplitude=0.0015, scale_amplitude=0.001,
 
     Returns n_frames - 1 AffineSimilarity steps whose rotation, zoom and
     translation oscillate with the given period (frames), so the camera sways
-    back and forth instead of drifting away.
+    back and forth instead of drifting away.  Raises ValueError on a zero
+    period.
     """
+    if period == 0.0:
+        raise ValueError("period must be nonzero")
     steps = []
     for t in range(1, n_frames):
         w = 2.0 * np.pi * (t + phase) / period

@@ -24,7 +24,7 @@ from fieldreg.errors import (
     SingularInnovation,
     UnknownKeypointId,
 )
-from fieldreg.geometry import EPS_T, RansacParams, homography_params, ransac_homography
+from fieldreg.geometry import RansacParams, homography_params, ransac_homography
 from fieldreg.homography_filter import (
     MAX_INNOVATION_CONDITION,
     HomographyFilterState,
@@ -171,8 +171,7 @@ def ekf_predict(state, motion, noise):
     return replace(state, h_mean=homography_params(H_new), cov=cov)
 
 
-def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITION,
-               eps=EPS_T):
+def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITION):
     active_idx = np.asarray(active_idx, dtype=int)
     if active_idx.size == 0:
         return state
@@ -184,8 +183,8 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     ci = _coord_idx(active_idx)
     z = kp_state.mean[ci]
     R = kp_state.cov[np.ix_(ci, ci)]
-    J = measurement_jacobian(state, active_idx, eps=eps)
-    pred = predict_measurements(state, active_idx, eps=eps).ravel()
+    J = measurement_jacobian(state, active_idx)
+    pred = predict_measurements(state, active_idx).ravel()
     P = state.cov
     S = J @ P @ J.T + R
     S = 0.5 * (S + S.T)

@@ -1,14 +1,15 @@
-"""Seeded mutations of the golden sequence, estimates and bank files.
+"""Seeded mutations of the golden sequence, estimates, bank, template and
+config files.
 
 Each case applies one mutation to one line of a JSONL file, or to the whole
-bank document: truncate it, delete or retype a key, reshape or duplicate a
-list entry, or put NaN or an infinity in place of a number.  Every CLI verb
-that reads the mutated file must then return 0, or return 1 with
-`error: <path>: line N: ` (`error: <path>: ` for the bank, which has no
-lines to name); none may raise.  Every file a verb writes must be strict
-JSON, with no NaN or Infinity token.  The one other allowed failure is
-evaluate's cross-file FrameMismatch, which a changed frame index or sequence
-id can cause.  Standard library only.
+of a JSON document: truncate it, delete or retype a key, reshape or
+duplicate a list entry, or put NaN or an infinity in place of a number.
+Every CLI verb that reads the mutated file must then return 0, or return 1
+with `error: <path>: line N: ` (`error: <path>: ` for a JSON document,
+which has no lines to name); none may raise.  Every file a verb writes must
+be strict JSON, with no NaN or Infinity token.  The one other allowed
+failure is evaluate's cross-file FrameMismatch, which a changed frame index
+or sequence id can cause.  Standard library only.
 """
 
 import contextlib
@@ -26,6 +27,8 @@ DATA = pathlib.Path(__file__).parent / "data"
 SEQUENCE = DATA / "golden_sequence.jsonl"
 ESTIMATES = DATA / "golden_estimates.jsonl"
 BANK = DATA / "golden_bank.json"
+TEMPLATE = DATA / "golden_template.json"
+CONFIG = DATA / "golden_config.json"
 SEEDS = range(200)
 
 RETYPED = [None, True, "x", 2.7, -1, [], {}, [1, 2], {"frame": 1}]
@@ -152,15 +155,35 @@ def test_mutated_inputs_fail_cleanly(tmp_path, which, seed):
             context
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_mutated_bank_fails_cleanly(tmp_path, seed):
-    text, what = mutate(BANK.read_text(), random.Random(f"bank/{seed}"))
-    mutated = str(tmp_path / BANK.name)
+def _document_fails_cleanly(tmp_path, source, tag, seed, argv, output):
+    """Run argv(mutated) + --output on one seeded mutation of the JSON document source."""
+    text, what = mutate(source.read_text(), random.Random(f"{tag}/{seed}"))
+    mutated = str(tmp_path / source.name)
     pathlib.Path(mutated).write_text(text)
-    out = str(tmp_path / "filter.jsonl")
-    rc, err = _run(["filter", "--input", str(SEQUENCE), "--bank", mutated, "--output", out])
+    out = str(tmp_path / output)
+    rc, err = _run(argv(mutated) + ["--output", out])
     if rc == 0:
         _strict_json(out)
         return
     assert rc == 1, f"{what}: {err.strip()}"
     assert re.match(rf"error: {re.escape(mutated)}: (?!line )", err), f"{what}: {err.strip()}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_bank_fails_cleanly(tmp_path, seed):
+    _document_fails_cleanly(tmp_path, BANK, "bank", seed,
+                            lambda m: ["filter", "--input", str(SEQUENCE), "--bank", m],
+                            "filter.jsonl")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_template_fails_cleanly(tmp_path, seed):
+    _document_fails_cleanly(tmp_path, TEMPLATE, "template", seed,
+                            lambda m: ["filter", "--input", str(SEQUENCE), "--template", m],
+                            "filter.jsonl")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutated_config_fails_cleanly(tmp_path, seed):
+    _document_fails_cleanly(tmp_path, CONFIG, "config", seed,
+                            lambda m: ["simulate", "--config", m], "simulate.jsonl")

@@ -1,6 +1,9 @@
 """Pipeline orchestration, file formats, and the CLI front end."""
 
+import contextlib
+import io
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -9,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import fieldreg
 from fieldreg.cli import main as cli_main
 from fieldreg.defaults import DEFAULT_MEASUREMENT, default_covariance_bank
 from fieldreg.errors import (
@@ -597,7 +601,70 @@ def test_cli_error_paths(tmp_path, capsys):
         assert cli_main(["simulate", "--output", out, "--config", str(bad_cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err, err
+    # a malformed config file is an error that names it, never a traceback
+    seq = ["--input", str(GOLDEN / "golden_sequence.jsonl")]
+    for verb, text, message in (
+            ("simulate", '{"frames": 3,', "invalid JSON"),
+            ("simulate", '{"motion": 5}', "motion must be an object"),
+            ("simulate", '{"initial_homography": [[1, 0], [0, 1]]}',
+             "initial_homography must have shape (3, 3)"),
+            ("simulate", '{"motion": {"kind": "pan", "translation_amplitude": 3}}',
+             "motion translation_amplitude must be an array of two numbers"),
+            ("simulate", '{"frames": [1]}', "frames must be an integer"),
+            ("simulate", '{"frames": Infinity}', "frames must be an integer"),
+            ("simulate", '{"frames": 3, "noise": {"measurement": [[NaN, 0], [0, 1]]}}',
+             "non-finite entries in measurement"),
+            ("filter", '{"max_condition": null}', "max_condition must be a number"),
+            ("filter", '{"init_from_homography": "false"}',
+             "init_from_homography must be true or false")):
+        bad_cfg.write_text(text)
+        capsys.readouterr()
+        argv = [verb, "--config", str(bad_cfg), "--output", out] + (seq if verb == "filter" else [])
+        assert cli_main(argv) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad_cfg}: {message}"), (text, err)
     assert not pathlib.Path(out).exists()
+
+
+@pytest.mark.parametrize("verb, config, flag, inputs", [
+    ("filter", {"active_set": "measured_ever"}, ["--active-set", "measured_now"],
+     ["--input", "golden_sequence.jsonl"]),
+    ("baseline", {"threshold_px": 0.5}, ["--threshold-px", "3"],
+     ["--input", "golden_sequence.jsonl"]),
+    ("calibrate", {"min_samples": 1}, ["--min-samples", "10"],
+     ["--input", "golden_sequence.jsonl"]),
+    ("evaluate", {"pr_threshold_px": 1.0}, ["--pr-threshold-px", "20"],
+     ["--input", "golden_estimates.jsonl", "--truth", "golden_sequence.jsonl",
+      "--projection-samples", "30"]),
+])
+def test_cli_config_changes_each_verb_and_a_flag_wins(tmp_path, verb, config, flag, inputs):
+    # each flag restates the library default, so config plus flag gives the default output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [verb] + [str(GOLDEN / a) if a.endswith(".jsonl") else a for a in inputs]
+
+    def output(*extra):
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(argv + ["--output", str(out), *extra]) == 0
+        return out.read_bytes()
+
+    default = output()
+    assert output("--config", str(cfg)) != default
+    assert output("--config", str(cfg), *flag) == default
+
+
+@pytest.mark.parametrize("key", ["width_m", "height_m"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_template_field_size_must_be_finite_and_positive(tmp_path, key, value):
+    tpl = tmp_path / "tpl.json"
+    write_template(TEMPLATE, tpl)
+    doc = json.loads(tpl.read_text())
+    doc[key] = value
+    tpl.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(tpl))}: bad template document: "
+                                          "field dimensions must be finite and positive"):
+        read_template(tpl)
 
 
 @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
@@ -628,17 +695,6 @@ def test_ransac_params_accept_edge_values():
     p = RansacParams(inlier_threshold_px=1e-9, max_iters=1, confidence=1e-9)
     assert (p.inlier_threshold_px, p.max_iters, p.confidence) == (1e-9, 1, 1e-9)
     assert RansacParams(confidence=1.0 - 1e-12).confidence == 1.0 - 1e-12
-
-
-@pytest.mark.parametrize("field, value", [
-    ("motion_threshold_px", float("nan")), ("motion_threshold_px", float("inf")),
-    ("motion_threshold_px", 0.0), ("motion_threshold_px", -1.5),
-    ("motion_max_iters", 0), ("motion_max_iters", -1),
-])
-def test_filter_options_reject_bad_motion_settings(field, value):
-    # each of these used to flag every steady-state frame identity_motion_fallback
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        FilterOptions(**{field: value})
 
 
 GOLDEN = pathlib.Path(__file__).parent / "data"
@@ -741,9 +797,13 @@ def test_image_dimension_too_large_for_a_float_is_rejected(tmp_path, capsys, key
 
 
 def test_cli_module_entry(tmp_path):
+    # the subprocess imports the same fieldreg as this process, installed or not
     seq = str(tmp_path / "seq.jsonl")
+    src = str(pathlib.Path(fieldreg.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run([sys.executable, "-m", "fieldreg", "simulate",
                            "--output", seq, "--frames", "3"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert "wrote 3 frames" in proc.stdout

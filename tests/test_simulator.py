@@ -156,6 +156,15 @@ def test_config_validation():
                   motions=pan_motion_script(5), dropout=1.0)
 
 
+@pytest.mark.parametrize("entry, message", [
+    (np.nan, "non-finite entries in measurement"),
+    (-1.0, "measurement must have nonnegative diagonals"),
+])
+def test_sim_noise_checks_covariances_like_the_filters(entry, message):
+    with pytest.raises(ValueError, match=message):
+        SimNoise(measurement=np.array([[entry, 0.0], [0.0, 1.0]]))
+
+
 def test_matched_bank():
     cfg = noiseless_config(noise=SimNoise(measurement=DEFAULT_MEASUREMENT,
                                           keypoint_process=0.5 * np.eye(2)))
