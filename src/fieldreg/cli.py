@@ -30,6 +30,7 @@ from .pipeline import (
     ACTIVE_SETS,
     MOTION_SOURCES,
     FilterOptions,
+    check_evaluate_settings,
     run_calibrate,
     run_evaluate,
     run_filter,
@@ -246,8 +247,8 @@ def _print_report(report):
 
 
 def _cmd_evaluate(args, config, template):
-    settings = _options(args, config, dict, "pr_threshold_px", "projection_samples",
-                        seed="rng_seed")
+    settings = _options(args, config, check_evaluate_settings, "pr_threshold_px",
+                        "projection_samples", seed="rng_seed")
     est_header, estimates = read_estimates(args.input, template)
     truth_header, truth = read_sequence(args.truth, template)
     if est_header.sequence_id != truth_header.sequence_id:
@@ -347,6 +348,9 @@ def main(argv=None):
         config = _load_json(args.config) if args.config else {}
         if not isinstance(config, dict):
             raise FormatError("a config file must hold a JSON object", path=args.config)
+        unknown = sorted(set(config) - set(CONFIG_TYPES))
+        if unknown:
+            raise FormatError(f"unknown key {unknown[0]!r}", path=args.config)
         template = read_template(args.template) if args.template else standard_soccer_template()
         return args.func(args, config, template)
     except (FieldRegError, ValueError, OverflowError, OSError) as e:

@@ -194,6 +194,12 @@ def reprojection_distances(H, src, dst):
     return out
 
 
+def check_seed(seed):
+    """ValueError naming seed unless it is at least 0, as NumPy's generators need."""
+    if not seed >= 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class RansacParams:
     """Knobs for robust homography fitting."""
@@ -211,6 +217,7 @@ class RansacParams:
             raise ValueError(f"inlier_threshold_px must be a finite number above 0, got {t}")
         if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        check_seed(self.seed)
         # the adaptive stop takes log(1 - confidence)
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be strictly between 0 and 1, got {self.confidence}")

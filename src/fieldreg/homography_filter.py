@@ -59,12 +59,9 @@ class HomographyFilterState:
     cov: np.ndarray         # (8, 8) homography covariance
 
     def __post_init__(self):
-        fm = np.asarray(self.field_mean, dtype=float)
-        hm = np.asarray(self.h_mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        object.__setattr__(self, "field_mean", fm)
-        object.__setattr__(self, "h_mean", hm)
-        object.__setattr__(self, "cov", cov)
+        for name in ("field_mean", "h_mean", "cov"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        fm, hm, cov = self.field_mean, self.h_mean, self.cov
         if fm.ndim != 1 or fm.shape[0] % 2 or hm.shape != (8,) or cov.shape != (8, 8):
             raise DimensionMismatch(
                 f"inconsistent state shapes: field {fm.shape}, h {hm.shape}, cov {cov.shape}")
@@ -111,13 +108,6 @@ def ekf_init(frame, template, noise, ransac=RansacParams()):
         h_mean=homography_params(H0),
         cov=noise.init_cov.copy(),
     )
-
-
-def _add_diagonal_blocks(square, blocks):
-    """square[2j:2j+2, 2j:2j+2] += blocks[j] for each of the (k, 2, 2) blocks, in place."""
-    k = blocks.shape[0]
-    j = np.arange(k)
-    square[:2 * k, :2 * k].reshape(k, 2, k, 2)[j, :, j, :] += blocks
 
 
 def _transition_matrix(motion):
@@ -216,35 +206,55 @@ def _innovation_bounds(JC, a, b, c, det):
     return (det / top).min(), top.max() + jc @ jc
 
 
-def _information_update(P, J, R_blocks, nu, max_condition):
-    """(dx, P+) in information form when the bounds certify the gate, else None.
+def _exact_gate(P, J, R_blocks, max_condition):
+    """Raise SingularInnovation unless eigvalsh of S = J P J^T + R passes the gate."""
+    S = J @ P @ J.T
+    j = np.arange(R_blocks.shape[0])
+    S.reshape(j.size, 2, j.size, 2)[j, :, j, :] += R_blocks
+    S = 0.5 * (S + S.T)
+    if not np.all(np.isfinite(S)):
+        raise SingularInnovation("innovation covariance is not finite")
+    try:
+        eig = np.linalg.eigvalsh(S)
+    except np.linalg.LinAlgError:
+        raise SingularInnovation("innovation eigenvalues did not converge") from None
+    if not eig[0] > 0.0:
+        raise SingularInnovation("innovation covariance is not positive definite")
+    cond = eig[-1] / eig[0]
+    if not cond <= max_condition:
+        raise SingularInnovation(f"innovation condition number {cond:.3e} exceeds {max_condition:.1e}")
 
-    With P = C C^T and R whitened per block (R_j = L_j L_j^T, W = L^-1 J,
-    w = L^-1 nu): T = I + (W C)^T (W C) has eigenvalues >= 1, and with
-    T = L_T L_T^T and B = C L_T^-T the posterior is P+ = B B^T and the mean
-    moves by P+ J^T R^-1 nu = B L_T^-1 (W C)^T w.  Everything is L x L.
-    The gate passes when hi/lo, widened by the rounding of an eigvalsh of S,
-    is within max_condition; then the exact eigenvalue ratio is too.  None
-    when it does not, when an entry is not finite, when a block of R is not
-    positive definite, or when P has no Cholesky factor.
+
+def _information_update(P, J, R_blocks, nu, max_condition):
+    """(dx, P+) in information form; raises SingularInnovation to skip the update.
+
+    With any factor P = C C^T (Cholesky, or V sqrt(max(w, 0)) from P's
+    eigenpairs when P is singular) and R whitened per block (R_j = L_j L_j^T,
+    W = L^-1 J, w = L^-1 nu): T = I + (W C)^T (W C) has eigenvalues >= 1,
+    and with T = L_T L_T^T and B = C L_T^-T the posterior is P+ = B B^T and
+    the mean moves by P+ J^T R^-1 nu = B L_T^-1 (W C)^T w.  Everything is
+    L x L.  The gate passes when hi/lo, widened by the rounding of an
+    eigvalsh of S, is within max_condition; then the exact eigenvalue ratio
+    is too.  Otherwise _exact_gate decides.  Non-finite input and an R block
+    that is not positive definite raise as well.
     """
-    if not (np.isfinite(R_blocks).all() and np.isfinite(J).all()
-            and np.isfinite(P).all()):
-        return None
+    if not all(np.isfinite(x).all() for x in (R_blocks, J, P)):
+        raise SingularInnovation("innovation covariance is not finite")
     a, c = R_blocks[:, 0, 0], R_blocks[:, 1, 1]
     b = 0.5 * (R_blocks[:, 0, 1] + R_blocks[:, 1, 0])
     det = a * c - b * b
     if not (np.minimum(a, det) > 0.0).all():
-        return None
+        raise SingularInnovation("measurement covariance block is not positive definite")
     try:
         C = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
-        return None
+        w, V = np.linalg.eigh(P)
+        C = V * np.sqrt(np.maximum(w, 0.0))
     JC = J @ C
     lo, hi = _innovation_bounds(JC, a, b, c, det)
     ratio = hi / lo
     if not ratio * (1.0 + 1e-6 + 16 * nu.size * _EPS * ratio) <= max_condition:
-        return None
+        _exact_gate(P, J, R_blocks, max_condition)
 
     # whiten [J C | nu] by the closed-form Cholesky factor of each block
     l00 = np.sqrt(a)[:, None]
@@ -258,37 +268,11 @@ def _information_update(P, J, R_blocks, nu, max_condition):
     try:
         L_T = np.linalg.cholesky(M[:L, :L] + np.eye(L))
     except np.linalg.LinAlgError:     # only on overflow: T >= I
-        return None
+        raise SingularInnovation("information matrix is not finite") from None
     Y = np.linalg.solve(L_T, np.column_stack([C.T, M[:L, L]]))
     Bt = Y[:, :-1]                      # B^T = L_T^-1 C^T
     cov = Bt.T @ Bt
     return Bt.T @ Y[:, -1], 0.5 * (cov + cov.T)
-
-
-def _exact_update(P, J, R_blocks, nu, max_condition):
-    """(dx, P+) from the dense innovation covariance, gated by its eigenvalues."""
-    R = np.zeros((nu.size, nu.size))
-    _add_diagonal_blocks(R, R_blocks)
-    JP = J @ P
-    S = JP @ J.T + R
-    S = 0.5 * (S + S.T)
-
-    if not np.all(np.isfinite(S)):
-        raise SingularInnovation("innovation covariance is not finite")
-    try:
-        eig = np.linalg.eigvalsh(S)
-    except np.linalg.LinAlgError:
-        raise SingularInnovation("innovation eigenvalues did not converge") from None
-    if not eig[0] > 0.0:
-        raise SingularInnovation("innovation covariance is not positive definite")
-    cond = eig[-1] / eig[0]
-    if not cond <= max_condition:
-        raise SingularInnovation(f"innovation condition number {cond:.3e} exceeds {max_condition:.1e}")
-
-    K = np.linalg.solve(S, JP).T
-    A = np.eye(P.shape[0]) - K @ J
-    cov = A @ P @ A.T + K @ R @ K.T
-    return K @ nu, 0.5 * (cov + cov.T)
 
 
 def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITION):
@@ -301,20 +285,17 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
 
     The update runs in information form, in the state dimension 8 rather
     than in the 2K of the measurement: P+ = (P^-1 + J^T R^-1 J)^-1 through
-    the Cholesky factors of P and of I + C^T J^T R^-1 J C, which is
-    symmetric positive semidefinite by construction.  The condition
-    gate is certified without forming S = J P J^T + R: Weyl's inequality
-    bounds its extreme eigenvalues from the closed-form 2x2 eigenvalues of R
-    and tr(J P J^T).  When the bound does not certify the gate (or an R
-    block is not positive definite, an entry is not finite, or P has no
-    Cholesky factor), the exact path runs instead: S, its eigvalsh gate and
-    a Joseph-form update.  Either way an update is skipped exactly when the
-    eigenvalue ratio of S exceeds max_condition.
+    a factor C of P (Cholesky, or from its eigenpairs when P is singular)
+    and the Cholesky factor of I + C^T J^T R^-1 J C.  It is skipped exactly
+    when the eigenvalue ratio of S = J P J^T + R exceeds max_condition; a
+    Weyl bound decides that without S, which is formed only when the bound
+    cannot.
 
-    Raises SingularInnovation when the innovation covariance is not finite,
-    not positive definite, or has condition number above max_condition
-    (callers skip the frame), UnknownKeypointId for an active index outside
-    the state, and NumericalDegeneracy from the Jacobian.
+    Raises SingularInnovation when an input is not finite, an R block is not
+    positive definite, or the innovation covariance is not positive definite
+    or has condition number above max_condition (callers skip the frame),
+    UnknownKeypointId for an active index outside the state, and
+    NumericalDegeneracy from the Jacobian.
     """
     active_idx = np.asarray(active_idx, dtype=int)
     if active_idx.size == 0:
@@ -330,8 +311,5 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     nu = (kp_state.keypoint_means()[active_idx] - pred).ravel()
     R_blocks = kp_state.cov[active_idx]
 
-    update = _information_update(state.cov, J, R_blocks, nu, max_condition)
-    if update is None:
-        update = _exact_update(state.cov, J, R_blocks, nu, max_condition)
-    dx, cov = update
+    dx, cov = _information_update(state.cov, J, R_blocks, nu, max_condition)
     return replace(state, h_mean=state.h_mean + dx, cov=cov)

@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrix,
     UnknownKeypointId,
 )
-from .geometry import EPS_DET, RansacParams, apply_homography, ransac_homography
+from .geometry import EPS_DET, RansacParams, apply_homography, check_seed, ransac_homography
 from .homography_filter import (
     MAX_INNOVATION_CONDITION,
     ekf_init,
@@ -75,6 +75,7 @@ class FilterOptions:
         # skip every homography update
         if not self.max_condition >= 1.0:
             raise ValueError(f"max_condition must be at least 1, got {self.max_condition}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -278,6 +279,14 @@ class MetricsReport:
         }
 
 
+def check_evaluate_settings(**settings):
+    """run_evaluate's keyword settings back; a ValueError names one out of range."""
+    check_seed(settings.get("rng_seed", 0))
+    if (n := settings.get("projection_samples", 1)) < 1:
+        raise ValueError(f"projection_samples must be at least 1, got {n}")
+    return settings
+
+
 def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
                  pr_threshold_px=PR_THRESHOLD_PX, projection_samples=PROJECTION_ERROR_SAMPLES):
     """Score predictions against ground truth, frame-aligned by index.
@@ -288,10 +297,9 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
     flagged degenerate and likewise excluded.
     Aggregates carry mean and median per metric over the scored frames; the
     average_precision mean is the mAP.  Raises FrameMismatch when the two
-    frame sets differ, and ValueError when projection_samples is below 1.
+    frame sets differ, and ValueError for rng_seed < 0 or projection_samples < 1.
     """
-    if projection_samples < 1:
-        raise ValueError(f"projection_samples must be at least 1, got {projection_samples}")
+    check_evaluate_settings(rng_seed=rng_seed, projection_samples=projection_samples)
     preds = {p.frame_index: p for p in predictions}
     truths = {t.frame_index: t for t in truth_frames}
     if set(preds) != set(truths):

@@ -19,6 +19,7 @@ from .errors import DegenerateHomography, DimensionMismatch, EmptyVisibleRegion
 from .geometry import (
     EPS_DET,
     EPS_T,
+    check_seed,
     homography_denominators,
     homography_from_params,
     homography_params,
@@ -85,6 +86,7 @@ class SimConfig:
             raise TypeError("motions must be AffineSimilarity instances")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_seed(self.seed)
 
 
 def visible_keypoints(H, template, dims):

@@ -5,15 +5,22 @@ import numpy as np
 import pytest
 
 import dense_filter as dense
-from fieldreg import pipeline
+from fieldreg import homography_filter, pipeline
 from fieldreg.defaults import (
     DEFAULT_HOMOGRAPHY_PROCESS,
     DEFAULT_MEASUREMENT,
     default_covariance_bank,
 )
+from fieldreg.geometry import dlt_homography
 from fieldreg.pipeline import FilterOptions
 from fieldreg.seqio import SequenceFrame
-from fieldreg.simulator import SimConfig, SimNoise, generate_sequence, pan_motion_script
+from fieldreg.simulator import (
+    SimConfig,
+    SimNoise,
+    generate_sequence,
+    matched_bank,
+    pan_motion_script,
+)
 from helpers import DIMS, TEMPLATE, view_homography
 
 HOMOGRAPHY_RTOL = 1e-10     # Frobenius-relative, per frame
@@ -85,6 +92,52 @@ def test_iter_filter_matches_dense_reference(motion_source, active_set, init_all
     assert sum("init" in s.flags for s in structured) == 1
     skipped = sum("homography_update_skipped" in s.flags for s in structured)
     assert (skipped > 0) == (max_condition < 1e12)
+
+
+def test_singular_matched_bank_prior_matches_dense_without_forming_s(monkeypatch):
+    # the README example's view and noise; matched_bank's default init
+    # covariance is singular (its h31/h32 rows round to zero), and the
+    # predicted covariance at the first update has no Cholesky factor
+    quad = np.array([[220.0, 130.0], [1060.0, 130.0], [1240.0, 650.0], [40.0, 650.0]])
+    cfg = SimConfig(template=TEMPLATE, dims=DIMS, n_frames=120,
+                    initial_homography=dlt_homography(TEMPLATE.corners(), quad),
+                    motions=pan_motion_script(120),
+                    noise=SimNoise(measurement=np.diag([20.81, 14.56])),
+                    dropout=0.2, seed=3)
+    frames = generate_sequence(cfg)
+    bank = matched_bank(cfg)
+    eig = np.linalg.eigvalsh(bank.init_homography)
+    assert eig[1] <= 1e-12 * eig[-1]
+    # Each update is checked against the dense equations on the same inputs.
+    # Whole runs drift apart by about 2e-11 per frame: in the prior's null
+    # directions the update rounds differently from the Joseph form.
+    steps, gate_calls = [], []
+    exact_gate = homography_filter._exact_gate
+    monkeypatch.setattr(homography_filter, "_exact_gate",
+                        lambda *args: gate_calls.append(args) or exact_gate(*args))
+
+    def checked_update(state, kp, active, max_condition):
+        got = homography_filter.ekf_update(state, kp, active, max_condition)
+        dense_kp = dense.DenseKeypointState(kp.mean, dense.block_diag(kp.cov),
+                                            kp.measured_ever, kp.measured_now)
+        want = dense.ekf_update(state, dense_kp, active, max_condition)
+        for a, b in ((got.h_mean, want.h_mean), (got.cov, want.cov)):
+            assert np.linalg.norm(a - b) <= HOMOGRAPHY_RTOL * np.linalg.norm(b)
+        steps.append(state.cov)
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "ekf_update", checked_update)
+        structured = list(pipeline.iter_filter(frames, TEMPLATE, bank))
+    with monkeypatch.context() as m:
+        for name, fn in dense.PIPELINE_NAMES.items():
+            m.setattr(pipeline, name, fn)
+        reference = list(pipeline.iter_filter(frames, TEMPLATE, bank))
+    assert [s.flags for s in structured] == [r.flags for r in reference]
+    assert len(steps) == len(frames) - 1
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(steps[0])
+    assert not gate_calls
 
 
 def _record_covs(fns, into):

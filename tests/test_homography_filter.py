@@ -259,6 +259,22 @@ def test_indefinite_keypoint_block_raises():
         ekf_update(state, kp, np.arange(state.n), max_condition=np.inf)
 
 
+def test_zeroed_keypoint_block_among_many_raises():
+    # S = J P J^T + R stays positive definite here, but a zero R block has no
+    # whitening factor, so the update is skipped as lkf_update would skip it
+    state, _ = init_state()
+    kp = full_kp_state(np.random.default_rng(9), state)
+    cov = kp.cov.copy()
+    cov[4] = 0.0
+    kp = KeypointFilterState(mean=kp.mean, cov=cov, measured_ever=kp.measured_ever,
+                             measured_now=kp.measured_now)
+    active = np.arange(state.n)
+    J = measurement_jacobian(state, active)
+    assert np.linalg.eigvalsh(J @ state.cov @ J.T + block_diag(cov)).min() > 0.0
+    with pytest.raises(SingularInnovation, match="not positive definite"):
+        ekf_update(state, kp, active)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_innovation_raises(bad):
@@ -319,15 +335,16 @@ def assert_matches_dense(state, kp, active, max_condition):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def spy_on_exact_update(monkeypatch):
+def spy_on_exact_gate(monkeypatch):
+    """Calls to the exact gate, the only place that forms the dense S."""
     calls = []
-    exact = homography_filter._exact_update
+    exact = homography_filter._exact_gate
 
     def spy(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(homography_filter, "_exact_update", spy)
+    monkeypatch.setattr(homography_filter, "_exact_gate", spy)
     return calls
 
 
@@ -363,7 +380,7 @@ def test_fallback_accepts_between_exact_condition_and_bound(monkeypatch):
     bound = cheap_condition_bound(state, kp, active)
     cap = np.sqrt(cond * bound)
     assert cond * (1.0 + 1e-6) < cap < bound * (1.0 - 1e-6)
-    calls = spy_on_exact_update(monkeypatch)
+    calls = spy_on_exact_gate(monkeypatch)
     assert_matches_dense(state, kp, active, cap)
     assert len(calls) == 1
 
@@ -376,19 +393,19 @@ def test_cap_just_below_exact_condition_raises():
 
 def test_cheap_path_matches_dense_oracle(monkeypatch):
     state, kp, active, _ = gate_case()
-    calls = spy_on_exact_update(monkeypatch)
+    calls = spy_on_exact_gate(monkeypatch)
     assert_matches_dense(state, kp, active, 1e12)
     assert not calls
 
 
 def test_rank_deficient_init_cov_matches_dense(monkeypatch):
     # rows 0 and 1 coincide exactly (0.125^2 = 2^-6), so P has no Cholesky
-    # factor and the exact path runs
+    # factor; its eigenpairs factor it, and the bound still decides the gate
     init_cov = 1e-2 * np.eye(8)
     init_cov[:2, :2] = 2.0 ** -6
     noise = HomographyNoiseConfig(homography_process=1e-6 * np.eye(8), init_cov=init_cov)
     state, _ = init_state(noise=noise)
     kp = full_kp_state(np.random.default_rng(12), state)
-    calls = spy_on_exact_update(monkeypatch)
+    calls = spy_on_exact_gate(monkeypatch)
     assert_matches_dense(state, kp, np.arange(state.n), 1e12)
-    assert len(calls) == 1
+    assert not calls

@@ -603,6 +603,14 @@ def test_cli_error_paths(tmp_path, capsys):
         assert err.startswith("error: ") and named in err, err
     # a malformed config file is an error that names it, never a traceback
     seq = ["--input", str(GOLDEN / "golden_sequence.jsonl")]
+    inputs = {"simulate": [], "calibrate": seq, "filter": seq, "baseline": seq,
+              "evaluate": ["--input", str(GOLDEN / "golden_estimates.jsonl"),
+                           "--truth", str(GOLDEN / "golden_sequence.jsonl")]}
+    # a negative seed names the key, and the file when the config gives it
+    for verb in inputs:
+        capsys.readouterr()
+        assert cli_main([verb, "--seed", "-1", "--output", out] + inputs[verb]) == 1, verb
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n", verb
     for verb, text, message in (
             ("simulate", '{"frames": 3,', "invalid JSON"),
             ("simulate", '{"motion": 5}', "motion must be an object"),
@@ -616,14 +624,45 @@ def test_cli_error_paths(tmp_path, capsys):
              "non-finite entries in measurement"),
             ("filter", '{"max_condition": null}', "max_condition must be a number"),
             ("filter", '{"init_from_homography": "false"}',
-             "init_from_homography must be true or false")):
+             "init_from_homography must be true or false"),
+            ("evaluate", '{"projection_samples": 0}', "projection_samples must be at least 1"),
+            *((verb, '{"seed": -1}', "seed must be at least 0, got -1") for verb in inputs)):
         bad_cfg.write_text(text)
         capsys.readouterr()
-        argv = [verb, "--config", str(bad_cfg), "--output", out] + (seq if verb == "filter" else [])
+        argv = [verb, "--config", str(bad_cfg), "--output", out] + inputs[verb]
         assert cli_main(argv) == 1, text
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad_cfg}: {message}"), (text, err)
     assert not pathlib.Path(out).exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "filter", "evaluate"])
+def test_cli_rejects_config_keys_no_verb_reads(tmp_path, capsys, verb):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    inputs = {"simulate": [], "filter": ["--input", str(GOLDEN / "golden_sequence.jsonl")],
+              "evaluate": ["--input", str(GOLDEN / "golden_estimates.jsonl"),
+                           "--truth", str(GOLDEN / "golden_sequence.jsonl")]}[verb]
+    cfg.write_text(json.dumps({"threshhold_px": 0.5, "frames": 3}))
+    assert cli_main([verb, "--config", str(cfg), "--output", str(out)] + inputs) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: unknown key 'threshhold_px'\n"
+    assert not out.exists()
+    # a key that another verb reads stays accepted, so one file serves several verbs
+    cfg.write_text(json.dumps({"threshold_px": 0.5, "frames": 3, "projection_samples": 30}))
+    assert cli_main([verb, "--config", str(cfg), "--output", str(out)] + inputs) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RansacParams(seed=-1),
+    lambda: FilterOptions(seed=-1),
+    lambda: SimConfig(template=TEMPLATE, dims=DIMS, n_frames=1,
+                      initial_homography=np.eye(3), motions=(), seed=-1),
+    lambda: run_evaluate([], [], TEMPLATE, DIMS, rng_seed=-1),
+], ids=["RansacParams", "FilterOptions", "SimConfig", "run_evaluate"])
+def test_negative_seeds_are_rejected_by_name(make):
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        make()
 
 
 @pytest.mark.parametrize("verb, config, flag, inputs", [
