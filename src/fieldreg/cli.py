@@ -117,16 +117,11 @@ def _ransac(args, config):
                     threshold_px="inlier_threshold_px")
 
 
-def _default_view(template, dims):
+def _default_corners(dims):
     # mild broadcast perspective: far touchline compressed, near one wide
     w, h = float(dims.width_px), float(dims.height_px)
-    quad = np.array([
-        [0.17 * w, 0.18 * h],
-        [0.83 * w, 0.18 * h],
-        [0.97 * w, 0.92 * h],
-        [0.03 * w, 0.92 * h],
-    ])
-    return dlt_homography(template.corners(), quad)
+    return [[0.17 * w, 0.18 * h], [0.83 * w, 0.18 * h], [0.97 * w, 0.92 * h],
+            [0.03 * w, 0.92 * h]]
 
 
 def _matrix(key, value):
@@ -176,10 +171,12 @@ def _sim_config(template, **settings):
     dims = ImageDims(s["width"], s["height"])
     if "initial_homography" in s:
         h0 = _matrix("initial_homography", s["initial_homography"])
-    elif "view_corners" in s:
-        h0 = dlt_homography(template.corners(), _matrix("view_corners", s["view_corners"]))
     else:
-        h0 = _default_view(template, dims)
+        corners = _matrix("view_corners", s.get("view_corners", _default_corners(dims)))
+        try:
+            h0 = dlt_homography(template.corners(), corners)
+        except (FieldRegError, ValueError) as e:
+            raise ValueError(f"view_corners: {e}") from None
     return SimConfig(
         template=template, dims=dims, n_frames=s["frames"], initial_homography=h0,
         motions=_motion_script(s["motion"], s["frames"]), noise=_sim_noise(s["noise"]),

@@ -3,6 +3,10 @@
 Every homography in this package is a 3x3 float matrix normalized so its
 bottom-right entry is exactly 1.  The 8 free entries travel as a flat vector
 in column-stacked order (h11, h21, h31, h12, h22, h32, h13, h23).
+
+Points go through a homography in one place, `project`, and RANSAC's
+4-point hypotheses are closed form: both are element-wise arithmetic in a
+fixed order, the same on every BLAS build.  Only the DLT refit uses LAPACK.
 """
 
 import math
@@ -43,29 +47,32 @@ def normalize_homogeneous(point):
     return p[:2] / t
 
 
+def project(H, x, y):
+    """(u, v, t): points x, y through H (3 rows of 3 numbers or arrays) and
+    their homogeneous scales.  Images with t = 0 are not finite; callers test t."""
+    (a, b, c), (d, e, f), (g, h, i) = H
+    t = g * x + h * y + i
+    with np.errstate(all="ignore"):
+        return (a * x + b * y + c) / t, (d * x + e * y + f) / t, t
+
+
 def apply_homography(H, points):
     """Map Euclidean point(s) through H and renormalize.
 
     points may be a single (2,) point or an (N, 2) array; the result has the
     same shape.  Raises PointAtInfinity if any mapped point has |t| <= EPS_T.
     """
-    H = np.asarray(H, dtype=float)
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    P = np.atleast_2d(pts)
-    hom = P @ H[:, :2].T + H[:, 2]
-    t = hom[:, 2]
+    u, v, t = project(np.asarray(H, dtype=float), *np.atleast_2d(pts).T)
     if np.any(np.abs(t) <= EPS_T):
         raise PointAtInfinity("a mapped point lies at projective infinity")
-    out = hom[:, :2] / t[:, None]
-    return out[0] if single else out
+    out = np.column_stack([u, v])
+    return out[0] if pts.ndim == 1 else out
 
 
 def homography_denominators(H, points):
     """Projective denominator h31*x + h32*y + h33 for each point (no exception)."""
-    H = np.asarray(H, dtype=float)
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    return P @ H[2, :2] + H[2, 2]
+    return project(np.asarray(H, dtype=float), *np.atleast_2d(np.asarray(points, dtype=float)).T)[2]
 
 
 def normalize_homography(H):
@@ -89,22 +96,33 @@ def invert_homography(H):
 
 def invert_rows(rows):
     """invert_homography on a 3x3 nested list of floats; returns one."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    c11, c12, c13 = e * i - f * h, f * g - d * i, d * h - e * g
-    det = a * c11 + b * c12 + c * c13
+    (a, b, c), _, _ = rows
+    adj = _adjugate(rows)
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
     # negated tests, so that a NaN fails them too: the divisions below then
     # never meet a zero
     if not abs(det) > EPS_DET:
         raise SingularMatrix(f"|det| = {abs(det):.3e} <= {EPS_DET}")
-    c33 = a * e - b * d
+    c33 = adj[2][2]
     if not abs(c33 / det) > EPS_T:
         raise SingularMatrix("inverse cannot be normalized to h33 = 1")
-    # The adjugate (transposed cofactors) scaled by its own bottom-right
-    # entry: the determinant cancels, and that entry comes out exactly 1.
-    adj = [[c11, c * h - b * i, b * f - c * e],
-           [c12, a * i - c * g, c * d - a * f],
-           [c13, b * g - a * h, c33]]
+    # The adjugate scaled by its own bottom-right entry: the determinant
+    # cancels, and that entry comes out exactly 1.
     return [[v / c33 for v in row] for row in adj]
+
+
+def _adjugate(rows):
+    """Adjugate (transposed cofactors) of 3x3 nested floats or arrays."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return [[e * i - f * h, c * h - b * i, b * f - c * e],
+            [f * g - d * i, a * i - c * g, c * d - a * f],
+            [d * h - e * g, b * g - a * h, a * e - b * d]]
+
+
+def compose_rows(left, right):
+    """left o right for 3x3 nested floats or arrays, summed left to right."""
+    cols = list(zip(*right))
+    return [[l0 * r0 + l1 * r1 + l2 * r2 for r0, r1, r2 in cols] for l0, l1, l2 in left]
 
 
 def homography_params(H):
@@ -138,14 +156,17 @@ def dlt_homography(src, dst):
     coordinates via the SVD of the stacked 2M x 9 constraint matrix; the
     result is denormalized and scaled to h33 = 1.
 
-    Raises InsufficientPoints for M < 4 and DegenerateConfiguration when the
-    constraints do not determine 8 degrees of freedom (e.g. three of four
-    source points collinear) or the fitted map has h33 ~ 0.
+    Raises ValueError for non-finite coordinates, InsufficientPoints for
+    M < 4 and DegenerateConfiguration when the constraints do not determine 8
+    degrees of freedom (e.g. three of four source points collinear) or the
+    fitted map has h33 ~ 0.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     if src.ndim != 2 or src.shape[1] != 2 or src.shape != dst.shape:
         raise ValueError(f"need matching (M, 2) arrays, got {src.shape} and {dst.shape}")
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise ValueError("non-finite point coordinates")
     m = src.shape[0]
     if m < 4:
         raise InsufficientPoints(f"need at least 4 correspondences, got {m}")
@@ -185,13 +206,10 @@ def reprojection_distances(H, src, dst):
     """Distances |H(src_i) - dst_i|; inf where src_i maps to infinity."""
     src = np.atleast_2d(np.asarray(src, dtype=float))
     dst = np.atleast_2d(np.asarray(dst, dtype=float))
-    hom = src @ np.asarray(H, dtype=float)[:, :2].T + H[:, 2]
-    t = hom[:, 2]
-    out = np.full(src.shape[0], np.inf)
-    ok = np.abs(t) > EPS_T
-    proj = hom[ok, :2] / t[ok, None]
-    out[ok] = np.sqrt(((proj - dst[ok]) ** 2).sum(axis=1))
-    return out
+    u, v, t = project(np.asarray(H, dtype=float), src[:, 0], src[:, 1])
+    du, dv = u - dst[:, 0], v - dst[:, 1]
+    with np.errstate(all="ignore"):
+        return np.where(np.abs(t) > EPS_T, np.sqrt(du * du + dv * dv), np.inf)
 
 
 def check_seed(seed):
@@ -223,47 +241,52 @@ class RansacParams:
             raise ValueError(f"confidence must be strictly between 0 and 1, got {self.confidence}")
 
 
+def _square_to_quad(quads):
+    """Heckbert's map of the unit square onto each (B, 4, 2) quad (Fundamentals
+    of Texture Mapping and Image Warping, 1989, 2.2.3) as 3x3 rows of (B,)
+    arrays, and flags for the invertible ones.  With p the corners and Dijk
+    the doubled area of pi pj pk, its columns are D023 p1 - D123 p0,
+    D012 p3 - D123 p0 and D123 p0; its determinant is the product of all four areas."""
+    p = quads.transpose(2, 1, 0)
+    u, v = p[:, [1, 2, 3, 0]] - p, p[:, [2, 3, 0, 1]] - p
+    areas = u[0] * v[1] - u[1] * v[0]
+    d012, d123, d023, _ = areas
+    (x0, x1, _, x3), (y0, y1, _, y3) = p
+    return ([[d023 * x1 - d123 * x0, d012 * x3 - d123 * x0, d123 * x0],
+             [d023 * y1 - d123 * y0, d012 * y3 - d123 * y0, d123 * y0],
+             [d023 - d123, d012 - d123, d123]], (areas != 0.0).all(axis=0))
+
+
+def _draw_samples(rng, b, m):
+    """(b, 4) samples of 4 distinct indices below m.  Rows are sorted: the
+    order argpartition leaves depends on NumPy's SIMD build."""
+    return np.sort(np.argpartition(rng.random((b, m)), 3, axis=1)[:, :4], axis=1)
+
+
 def _minimal_homographies(src4, dst4):
-    """Batched exact 4-point homography fits with h33 pinned to 1.
-
-    src4 and dst4 are (B, 4, 2) sample stacks.  Returns ((B, 3, 3)
-    candidates, (B,) validity): a sample whose linear system is singular --
-    a degenerate configuration -- comes back invalid with an identity
-    placeholder.  Precision only has to support inlier counting; the caller
-    refits the winner with the full DLT.
-
-    Exactly singular samples are common: template keypoints lie on pitch
-    lines, so many draws hold three collinear points.  The batched
-    determinant (the same LU factorization the solve runs) screens them out,
-    so the rest still go through one batched solve.
+    """((B, 3, 3) candidates with h33 = 1, (B,) validity) for the (B, 4, 2)
+    sample stacks src4 and dst4: D adj(S), with S and D the unit square's
+    maps onto the two quads.  A sample is invalid (identity placeholder) when
+    three of its source or destination points are collinear, which is common
+    on pitch lines, or its candidate is not finite.  The caller refits the
+    winner with the full DLT.
     """
-    n = src4.shape[0]
-    x, y = src4[..., 0], src4[..., 1]
-    u, v = dst4[..., 0], dst4[..., 1]
-    A = np.zeros((n, 8, 8))
-    A[:, :4, 0], A[:, :4, 1], A[:, :4, 2] = x, y, 1.0
-    A[:, 4:, 3], A[:, 4:, 4], A[:, 4:, 5] = x, y, 1.0
-    A[:, :4, 6], A[:, :4, 7] = -u * x, -u * y
-    A[:, 4:, 6], A[:, 4:, 7] = -v * x, -v * y
-    rhs = np.concatenate([u, v], axis=1)
-    valid = np.linalg.det(A) != 0.0
-    h = np.zeros((n, 8))
-    try:
-        h[valid] = np.linalg.solve(A[valid], rhs[valid, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # a member the determinant passed still hit a zero pivot: redo the
-        # survivors one by one, marking the culprits
-        for i in np.flatnonzero(valid):
-            try:
-                h[i] = np.linalg.solve(A[i], rhs[i])
-            except np.linalg.LinAlgError:
-                valid[i] = False
-    valid &= np.isfinite(h).all(axis=1)
-    H = np.ones((n, 9))
-    H[:, :8] = h
-    H = H.reshape(n, 3, 3)
+    (S, s_ok), (D, d_ok) = _square_to_quad(src4), _square_to_quad(dst4)
+    with np.errstate(all="ignore"):
+        H = np.array(compose_rows(D, _adjugate(S)))
+        H = (H / H[2, 2]).transpose(2, 0, 1)
+    valid = s_ok & d_ok & np.isfinite(H).all(axis=(1, 2))
     H[~valid] = np.eye(3)
     return H, valid
+
+
+def _inlier_masks(cand, valid, src, dst, thr2):
+    """(B, M) masks of the points each candidate maps within sqrt(thr2) of
+    dst, in front of infinity; all False for an invalid candidate."""
+    # points down, candidates across: the inner loops run over the batch
+    u, v, t = project(cand.transpose(1, 2, 0), src[:, :1], src[:, 1:])
+    du, dv = u - dst[:, :1], v - dst[:, 1:]
+    return ((np.abs(t) > EPS_T) & (du * du + dv * dv < thr2) & valid).T
 
 
 def ransac_homography(src, dst, inlier_threshold_px=RANSAC_INLIER_THRESHOLD_PX,
@@ -296,20 +319,12 @@ def ransac_homography(src, dst, inlier_threshold_px=RANSAC_INLIER_THRESHOLD_PX,
     done = 0
     chunk = 64
     thr2 = inlier_threshold_px ** 2
-    src_h = np.column_stack([src, np.ones(m)])
     while done < min(max_iters, needed):
         b = min(chunk, min(max_iters, needed) - done)
         chunk = 512
-        keys = rng.random((b, m))
-        samples = np.argpartition(keys, 3, axis=1)[:, :4]
+        samples = _draw_samples(rng, b, m)
         cand, valid = _minimal_homographies(src[samples], dst[samples])
-        hom = np.matmul(src_h, cand.transpose(0, 2, 1))
-        t = hom[..., 2]
-        front = np.abs(t) > EPS_T
-        t = np.where(front, t, 1.0)
-        dx = hom[..., 0] / t - dst[:, 0]
-        dy = hom[..., 1] / t - dst[:, 1]
-        inliers = front & (dx * dx + dy * dy < thr2) & valid[:, None]
+        inliers = _inlier_masks(cand, valid, src, dst, thr2)
         counts = inliers.sum(axis=1)
         done += b
         top = int(np.argmax(counts))

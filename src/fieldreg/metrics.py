@@ -16,10 +16,12 @@ from .errors import DegenerateProjection, NoMatchedKeypoints, NoSamples
 from .geometry import (
     EPS_T,
     clip_polygon,
+    compose_rows,
     convex_polygon,
     ensure_ccw,
     invert_rows,
     polygon_area,
+    project,
 )
 
 REFERENCE_WIDTH_PX = 1280.0
@@ -33,24 +35,9 @@ def _rows(H):
     return np.asarray(H, dtype=float).tolist()
 
 
-def _project(H, x, y):
-    """Map points with coordinate arrays x and y through H (3x3 nested list).
-
-    Returns the image coordinate arrays u, v and the homogeneous scales t.
-    Written out entry by entry as element-wise multiplies and adds in a fixed
-    order instead of matrix products, so every metric is the same whichever
-    BLAS kernel NumPy would dispatch to.  Images of points with t = 0 are not
-    finite; callers test t.
-    """
-    (a, b, c), (d, e, f), (g, h, i) = H
-    t = g * x + h * y + i
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (a * x + b * y + c) / t, (d * x + e * y + f) / t, t
-
-
 def _mapped_quad(H, corners):
     """Corners through H (3x3 nested list) as a validated convex quad;
-    DegenerateProjection otherwise.  Scalar arithmetic, in _project's order."""
+    DegenerateProjection otherwise.  Scalar arithmetic, in project's order."""
     (a, b, c), (d, e, f), (g, h, i) = H
     den = [g * x + h * y + i for x, y in corners]
     if any(t <= EPS_T for t in den):
@@ -67,10 +54,8 @@ def _mapped_quad(H, corners):
 def _composite(left, right):
     # left o right for 3x3 nested lists, renormalized to h33 = 1 so
     # denominator signs are anchored at the origin like every other
-    # homography here.  C[i][j] = L[i][0] R[0][j] + L[i][1] R[1][j] +
-    # L[i][2] R[2][j], summed left to right.
-    cols = list(zip(*right))
-    C = [[l0 * r0 + l1 * r1 + l2 * r2 for r0, r1, r2 in cols] for l0, l1, l2 in left]
+    # homography here
+    C = compose_rows(left, right)
     c33 = C[2][2]
     if abs(c33) <= EPS_T:
         raise DegenerateProjection("composite map cannot be normalized to h33 = 1")
@@ -176,8 +161,8 @@ def projection_error(h_gt, h_pred, template, dims, n_samples=PROJECTION_ERROR_SA
         raise DegenerateProjection("ground-truth field projection misses the image")
     x, y = _sample_convex_polygon(visible, n_samples, np.random.default_rng(rng_seed))
 
-    u_gt, v_gt, t_gt = _project(inv_gt, x, y)
-    u_pred, v_pred, t_pred = _project(inv_pred, x, y)
+    u_gt, v_gt, t_gt = project(inv_gt, x, y)
+    u_pred, v_pred, t_pred = project(inv_pred, x, y)
     if np.any(np.abs(t_gt) <= EPS_T) or np.any(np.abs(t_pred) <= EPS_T):
         raise DegenerateProjection("sampled image point has no finite field image")
     du = u_gt - u_pred
@@ -189,13 +174,13 @@ def reprojection_error(h_gt, h_pred, template, dims):
     """Mean keypoint displacement in pixels over GT-visible keypoints, as a
     fraction of image height."""
     x, y = template.positions[:, 0], template.positions[:, 1]
-    u_gt, v_gt, den_gt = _project(_rows(h_gt), x, y)
+    u_gt, v_gt, den_gt = project(_rows(h_gt), x, y)
     w, h = float(dims.width_px), float(dims.height_px)
     vis = (den_gt > EPS_T) & (u_gt >= 0) & (u_gt <= w) & (v_gt >= 0) & (v_gt <= h)
     if not np.any(vis):
         raise DegenerateProjection("no template keypoint visible under the ground truth")
 
-    u_pred, v_pred, den_pred = _project(_rows(h_pred), x[vis], y[vis])
+    u_pred, v_pred, den_pred = project(_rows(h_pred), x[vis], y[vis])
     if np.any(np.abs(den_pred) <= EPS_T):
         raise DegenerateProjection("predicted projection sends a visible keypoint to infinity")
     du = u_pred - u_gt[vis]

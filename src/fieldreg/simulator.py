@@ -75,6 +75,8 @@ class SimConfig:
         h0 = np.asarray(self.initial_homography, dtype=float)
         if h0.shape != (3, 3):
             raise DimensionMismatch(f"initial_homography must have shape (3, 3), got {h0.shape}")
+        if not np.isfinite(h0).all():
+            raise ValueError("non-finite entries in initial_homography")
         object.__setattr__(self, "initial_homography", normalize_homography(h0))
         object.__setattr__(self, "motions", tuple(self.motions))
         if self.n_frames < 1:

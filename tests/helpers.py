@@ -1,13 +1,40 @@
 """Shared builders for the test suite."""
 
-import numpy as np
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
+import pytest
+
+import fieldreg
 from fieldreg import ImageDims, standard_soccer_template
 from fieldreg.geometry import dlt_homography
 from numpy_polygons import ensure_ccw
 
 TEMPLATE = standard_soccer_template()
 DIMS = ImageDims(1280, 720)
+
+# OpenBLAS picks its kernels for the CPU at load time, and NumPy picks SIMD
+# loops for sqrt, cumsum and searchsorted; a test taking kernel_env runs a
+# fresh process under an older core type, or NumPy's pre-AVX2 baseline, and
+# expects the same bytes.  Builds without dynamic dispatch ignore the
+# variables and compare as usual.
+KERNEL_ENVS = pytest.mark.parametrize("kernel_env", [
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+], ids=["Prescott", "Haswell", "numpy-no-AVX2"])
+
+
+def run_python(args, kernel_env):
+    """Python with args in a fresh process under kernel_env, where fieldreg's
+    source and the test modules are importable."""
+    src = str(pathlib.Path(fieldreg.__file__).resolve().parent.parent)
+    path = [src, str(pathlib.Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, **kernel_env, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def view_homography(rng=None, dims=DIMS, template=TEMPLATE, jitter_px=0.0):

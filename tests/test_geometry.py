@@ -1,5 +1,10 @@
 """Projective primitives: mapping, DLT, robust fitting, polygon clipping."""
 
+import hashlib
+import itertools
+import pathlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,9 @@ from fieldreg.errors import (
     SingularMatrix,
 )
 from fieldreg.geometry import (
+    RANSAC_INLIER_THRESHOLD_PX,
+    _draw_samples,
+    _inlier_masks,
     _minimal_homographies,
     apply_homography,
     clip_polygon,
@@ -27,7 +35,15 @@ from fieldreg.geometry import (
     reprojection_distances,
     signed_area,
 )
-from helpers import TEMPLATE, points_in_convex_polygon, random_homography, view_homography
+from fieldreg.seqio import read_sequence
+from helpers import (
+    KERNEL_ENVS,
+    TEMPLATE,
+    points_in_convex_polygon,
+    random_homography,
+    run_python,
+    view_homography,
+)
 
 
 def test_apply_homography_worked_example():
@@ -201,32 +217,67 @@ def test_ransac_needs_four_points():
         ransac_homography(pts, pts)
 
 
+def _has_collinear_triple(points):
+    # exactly, in rationals: the closed form must flag these and only these
+    P = [(Fraction(x), Fraction(y)) for x, y in points]
+    return any((q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
+               for p, q, r in itertools.combinations(P, 3))
+
+
 def test_minimal_solver_matches_one_by_one_solves():
     # Draws of template keypoints often put three on one pitch line, so a
-    # batch mixes exactly singular systems with regular ones.  Each regular
-    # sample must come out exactly as its own solve gives it, and exactly the
-    # samples whose own solve fails must be flagged.
+    # batch mixes singular samples with regular ones.  Exactly the samples
+    # with three collinear source or destination points are flagged.  Each
+    # regular one maps its four points onto their partners, and agrees with
+    # its own 8x8 solve: the two exact solutions of one system differ only by
+    # rounding (at most 1.5e-10 relative on these draws).
     rng = np.random.default_rng(10)
     src = TEMPLATE.positions
     dst = apply_homography(view_homography(), src) + rng.normal(0.0, 2.0, size=src.shape)
     samples = np.argpartition(rng.random((300, TEMPLATE.n)), 3, axis=1)[:, :4]
     cand, valid = _minimal_homographies(src[samples], dst[samples])
-    singular = 0
-    for k, idx in enumerate(samples):
+    collinear = [_has_collinear_triple(src[idx]) or _has_collinear_triple(dst[idx])
+                 for idx in samples]
+    assert np.array_equal(valid, np.logical_not(collinear))
+    assert 0 < valid.sum() < len(samples)
+    assert all(np.array_equal(H, np.eye(3)) for H in cand[~valid])
+    for H, idx in zip(cand[valid], samples[valid]):
+        np.testing.assert_allclose(apply_homography(H, src[idx]), dst[idx], rtol=1e-9, atol=0)
         A = np.zeros((8, 8))
         for r, ((x, y), (u, v)) in enumerate(zip(src[idx], dst[idx])):
             A[r] = [x, y, 1.0, 0.0, 0.0, 0.0, -u * x, -u * y]
             A[r + 4] = [0.0, 0.0, 0.0, x, y, 1.0, -v * x, -v * y]
-        try:
-            h = np.linalg.solve(A, np.concatenate([dst[idx, 0], dst[idx, 1]]))
-        except np.linalg.LinAlgError:
-            singular += 1
-            assert not valid[k]
-            assert np.array_equal(cand[k], np.eye(3))
+        h = np.linalg.solve(A, np.concatenate([dst[idx, 0], dst[idx, 1]]))
+        np.testing.assert_allclose(H, np.append(h, 1.0).reshape(3, 3), rtol=1e-8, atol=0)
+
+
+def hypothesis_digest():
+    """SHA-256 of the samples, candidates, validity flags and scored inlier
+    masks of 512 seeded draws on each golden-sequence frame."""
+    _, frames = read_sequence(pathlib.Path(__file__).parent / "data" / "golden_sequence.jsonl",
+                              TEMPLATE)
+    rng = np.random.default_rng(14)
+    digest = hashlib.sha256()
+    for frame in frames:
+        meas = frame.measurements
+        if meas.k < 4:
             continue
-        assert valid[k]
-        assert np.array_equal(cand[k], np.append(h, 1.0).reshape(3, 3))
-    assert 0 < singular < len(samples)
+        src, dst = TEMPLATE.positions[meas.ids], meas.positions
+        samples = _draw_samples(rng, 512, meas.k)
+        cand, valid = _minimal_homographies(src[samples], dst[samples])
+        masks = _inlier_masks(cand, valid, src, dst, RANSAC_INLIER_THRESHOLD_PX ** 2)
+        for a in (samples, cand, valid, masks):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+@KERNEL_ENVS
+def test_hypotheses_do_not_depend_on_blas_kernels(kernel_env):
+    # the closed-form hypotheses and their scoring make no BLAS or LAPACK call
+    proc = run_python(["-c", "import test_geometry; print(test_geometry.hypothesis_digest())"],
+                      kernel_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == hypothesis_digest() + "\n"
 
 
 def square(x0, y0, side):

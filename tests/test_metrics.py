@@ -1,14 +1,10 @@
 """Registration metrics against analytic worked examples and Monte Carlo."""
 
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import fieldreg
 from fieldreg.errors import DegenerateProjection, NoMatchedKeypoints, NoSamples
 from fieldreg.field import ImageDims
 from fieldreg.geometry import (
@@ -29,7 +25,14 @@ from fieldreg.metrics import (
     projection_error,
     reprojection_error,
 )
-from helpers import DIMS, TEMPLATE, points_in_convex_polygon, view_homography
+from helpers import (
+    DIMS,
+    KERNEL_ENVS,
+    TEMPLATE,
+    points_in_convex_polygon,
+    run_python,
+    view_homography,
+)
 
 
 def field_translation(dx, dy):
@@ -352,27 +355,13 @@ def test_mean_average_precision():
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("kernel_env", [
-    {"OPENBLAS_CORETYPE": "Prescott"},
-    {"OPENBLAS_CORETYPE": "Haswell"},
-    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
-], ids=["Prescott", "Haswell", "numpy-no-AVX2"])
+@KERNEL_ENVS
 def test_report_bytes_do_not_depend_on_blas_kernels(tmp_path, kernel_env):
-    # OpenBLAS picks its kernels for the CPU at load time, and NumPy picks
-    # SIMD loops for sqrt, cumsum and searchsorted; forcing an older core
-    # type, or NumPy's pre-AVX2 baseline, in a fresh process must not move a
-    # bit of the report.  Builds without dynamic dispatch ignore the variable
-    # and compare as usual.
-    src = str(pathlib.Path(fieldreg.__file__).resolve().parent.parent)
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, **kernel_env,
-               PYTHONPATH=os.pathsep.join(p for p in path if p))
     rep = tmp_path / "report.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "fieldreg", "evaluate",
+    proc = run_python(
+        ["-m", "fieldreg", "evaluate",
          "--input", str(DATA / "golden_estimates.jsonl"),
          "--truth", str(DATA / "golden_sequence.jsonl"),
-         "--seed", "5", "--projection-samples", "400", "--output", str(rep)],
-        env=env, capture_output=True, text=True)
+         "--seed", "5", "--projection-samples", "400", "--output", str(rep)], kernel_env)
     assert proc.returncode == 0, proc.stderr
     assert rep.read_bytes() == (DATA / "golden_report.json").read_bytes()

@@ -622,6 +622,10 @@ def test_cli_error_paths(tmp_path, capsys):
             ("simulate", '{"frames": Infinity}', "frames must be an integer"),
             ("simulate", '{"frames": 3, "noise": {"measurement": [[NaN, 0], [0, 1]]}}',
              "non-finite entries in measurement"),
+            ("simulate", '{"view_corners": [[NaN, 100], [1000, 100], [1200, 700], [50, 700]], '
+                         '"frames": 3}', "view_corners: non-finite point coordinates"),
+            ("simulate", '{"initial_homography": [[1, 0, 0], [0, 1, 0], [0, 0, Infinity]], '
+                         '"frames": 3}', "non-finite entries in initial_homography"),
             ("filter", '{"max_condition": null}', "max_condition must be a number"),
             ("filter", '{"init_from_homography": "false"}',
              "init_from_homography must be true or false"),
