@@ -9,7 +9,6 @@ metrics, a synthetic sequence generator, file formats and a CLI.
 
 from .calibration import (
     CovarianceBank,
-    PerKeypointCovariance,
     TrainingRecord,
     calibrate_bank,
     estimate_homography_process_cov,
@@ -58,7 +57,6 @@ from .geometry import (
 )
 from .homography_filter import (
     HomographyFilterState,
-    HomographyNoiseConfig,
     ekf_init,
     ekf_predict,
     ekf_update,

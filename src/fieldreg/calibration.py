@@ -7,14 +7,13 @@ a fitted mean.  Consecutive-frame pairing is by frame_index (difference of
 exactly 1) inside each sequence, never across sequences.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FieldRegError, NoSamples
 from .geometry import RansacParams, homography_params, normalize_homography, ransac_homography
-from .keypoint_filter import NoiseConfig
-from .homography_filter import HomographyNoiseConfig
+from .keypoint_filter import NoiseConfig, check_covariance
 from .motion import AffineSimilarity
 
 MIN_SAMPLES_PER_KEYPOINT = 10
@@ -52,23 +51,6 @@ class TrainingRecord:
             raise ValueError("measured ids and positions disagree")
 
 
-@dataclass(frozen=True)
-class PerKeypointCovariance:
-    """Per-keypoint 2x2 matrices with a pooled fallback.
-
-    blocks maps keypoint index -> matrix for every keypoint that appeared at
-    all; sparsely observed keypoints (fewer than the min_samples cut) carry
-    the pooled matrix.  counts records the raw per-keypoint sample counts.
-    """
-
-    blocks: dict
-    pooled: np.ndarray
-    counts: dict
-
-    def block_for(self, idx):
-        return self.blocks.get(int(idx), self.pooled)
-
-
 def _consecutive_pairs(sequence):
     recs = sorted(sequence, key=lambda r: r.frame_index)
     for a, b in zip(recs, recs[1:]):
@@ -77,7 +59,9 @@ def _consecutive_pairs(sequence):
 
 
 def _per_keypoint_mse(samples, min_samples):
-    # samples: dict idx -> list of 2-vectors
+    """(blocks, pooled, counts) of 2x2 mean squares from samples, a dict
+    keypoint index -> list of 2-vectors.  A keypoint with fewer than
+    min_samples samples gets the pooled matrix; counts are the raw counts."""
     sums = {}
     counts = {}
     total = np.zeros((2, 2))
@@ -96,14 +80,14 @@ def _per_keypoint_mse(samples, min_samples):
     for idx, s in sums.items():
         n = counts[idx]
         blocks[idx] = s / n if n >= min_samples else pooled.copy()
-    return PerKeypointCovariance(blocks=blocks, pooled=pooled, counts=counts)
+    return blocks, pooled, counts
 
 
 def estimate_keypoint_process_cov(sequences, min_samples=MIN_SAMPLES_PER_KEYPOINT):
     """Process covariance of the image-keypoint dynamics.
 
     Residual per keypoint and consecutive pair: x_t - A_t(x_{t-1}), both
-    positions ground truth.  Returns PerKeypointCovariance; raises NoSamples.
+    positions ground truth.  Returns (blocks, pooled, counts); raises NoSamples.
     """
     samples = {}
     for a, b in _iter_pairs(sequences):
@@ -140,7 +124,8 @@ def estimate_homography_process_cov(sequences):
 
 
 def estimate_measurement_cov(records, min_samples=MIN_SAMPLES_PER_KEYPOINT):
-    """Measurement covariance: residual y - x_gt per measured keypoint with ground truth."""
+    """Measurement covariance from the residual y - x_gt of each measured keypoint
+    with ground truth.  Returns (blocks, pooled, counts); raises NoSamples."""
     samples = {}
     for rec in records:
         gt = dict(zip(rec.gt_ids.tolist(), rec.gt_positions))
@@ -193,25 +178,35 @@ def repair_psd(M):
     return 0.5 * (R + R.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CovarianceBank:
     """Every covariance a filter run needs, keyed by raw template keypoint id.
 
-    Matrices are stored PSD-repaired.  The homography matrices follow the
-    package's column-stacked parameter order (h11 h21 h31 h12 h22 h32 h13
-    h23, h33 fixed at 1), and the bank file records that tag explicitly.
+    Construction checks every matrix, unused pooled ones included: finite,
+    shaped, symmetric, nonnegative diagonal.  Calibrated matrices are
+    PSD-repaired.  The 8x8 matrices follow the column-stacked parameter order
+    (h11 h21 h31 h12 h22 h32 h13 h23, h33 fixed at 1) that the bank file tags.
     """
 
-    keypoint_process: dict            # raw id -> (2, 2)
-    keypoint_process_pooled: np.ndarray
-    keypoint_process_counts: dict
-    measurement: dict
-    measurement_pooled: np.ndarray
-    measurement_counts: dict
-    homography_process: np.ndarray    # (8, 8)
-    homography_process_samples: int
-    init_homography: np.ndarray       # (8, 8)
-    init_homography_samples: int
+    keypoint_process_pooled: np.ndarray     # (2, 2)
+    measurement_pooled: np.ndarray          # (2, 2)
+    homography_process: np.ndarray          # (8, 8)
+    init_homography: np.ndarray             # (8, 8)
+    keypoint_process: dict = field(default_factory=dict)    # raw id -> (2, 2)
+    keypoint_process_counts: dict = field(default_factory=dict)
+    measurement: dict = field(default_factory=dict)
+    measurement_counts: dict = field(default_factory=dict)
+    homography_process_samples: int = 0
+    init_homography_samples: int = 0
+
+    def __post_init__(self):
+        for name, k in (("keypoint_process_pooled", 2), ("measurement_pooled", 2),
+                        ("homography_process", 8), ("init_homography", 8)):
+            object.__setattr__(self, name, check_covariance(name, getattr(self, name), (k, k)))
+        for name in ("keypoint_process", "measurement"):
+            blocks = list(getattr(self, name).values())
+            if blocks:
+                check_covariance(f"{name} per_id", blocks, (len(blocks), 2, 2))
 
     def noise_for(self, template):
         """Materialize per-keypoint NoiseConfig blocks in template order."""
@@ -224,10 +219,6 @@ class CovarianceBank:
             meas[i] = self.measurement.get(rid, self.measurement_pooled)
         return NoiseConfig(process=proc, measurement=meas)
 
-    def homography_noise(self):
-        return HomographyNoiseConfig(homography_process=self.homography_process,
-                                     init_cov=self.init_homography)
-
 
 def calibrate_bank(sequences, template, ransac=RansacParams(),
                    min_samples=MIN_SAMPLES_PER_KEYPOINT):
@@ -236,26 +227,23 @@ def calibrate_bank(sequences, template, ransac=RansacParams(),
     sequences: list of lists of TrainingRecord (ids canonical indices).
     Raises NoSamples if any estimator has nothing to work with.
     """
-    kp_proc = estimate_keypoint_process_cov(sequences, min_samples=min_samples)
+    kp_blocks, kp_pooled, kp_counts = estimate_keypoint_process_cov(
+        sequences, min_samples=min_samples)
     sigma_h, n_h = estimate_homography_process_cov(sequences)
     records = [r for seq in sequences for r in seq]
-    meas = estimate_measurement_cov(records, min_samples=min_samples)
+    m_blocks, m_pooled, m_counts = estimate_measurement_cov(records, min_samples=min_samples)
     init_cov, n_init = estimate_init_homography_cov(records, template, ransac=ransac)
 
-    def by_raw_id(pkc):
-        blocks = {int(template.ids[i]): repair_psd(m) for i, m in pkc.blocks.items()}
-        counts = {int(template.ids[i]): c for i, c in pkc.counts.items()}
-        return blocks, counts
+    def by_raw_id(values, f):
+        return {int(template.ids[i]): f(v) for i, v in values.items()}
 
-    kp_blocks, kp_counts = by_raw_id(kp_proc)
-    m_blocks, m_counts = by_raw_id(meas)
     return CovarianceBank(
-        keypoint_process=kp_blocks,
-        keypoint_process_pooled=repair_psd(kp_proc.pooled),
-        keypoint_process_counts=kp_counts,
-        measurement=m_blocks,
-        measurement_pooled=repair_psd(meas.pooled),
-        measurement_counts=m_counts,
+        keypoint_process=by_raw_id(kp_blocks, repair_psd),
+        keypoint_process_pooled=repair_psd(kp_pooled),
+        keypoint_process_counts=by_raw_id(kp_counts, int),
+        measurement=by_raw_id(m_blocks, repair_psd),
+        measurement_pooled=repair_psd(m_pooled),
+        measurement_counts=by_raw_id(m_counts, int),
         homography_process=repair_psd(sigma_h),
         homography_process_samples=n_h,
         init_homography=repair_psd(init_cov),

@@ -49,14 +49,8 @@ DEFAULT_INIT_HOMOGRAPHY = np.array([
 def default_covariance_bank():
     """A bank holding only the pooled reference values (no per-keypoint entries)."""
     return CovarianceBank(
-        keypoint_process={},
         keypoint_process_pooled=repair_psd(DEFAULT_KEYPOINT_PROCESS),
-        keypoint_process_counts={},
-        measurement={},
         measurement_pooled=repair_psd(DEFAULT_MEASUREMENT),
-        measurement_counts={},
         homography_process=repair_psd(DEFAULT_HOMOGRAPHY_PROCESS),
-        homography_process_samples=0,
         init_homography=repair_psd(DEFAULT_INIT_HOMOGRAPHY),
-        init_homography_samples=0,
     )

@@ -1,8 +1,10 @@
 """Extended Kalman filter over the homography of a static field template.
 
 State is h, the 8 column-stacked free homography parameters (h33 fixed at
-1), with its 8x8 covariance; the field points are the template's exact
-coordinates and carry no uncertainty.  The predict step applies the global
+1), with its 8x8 covariance, and nothing else: the field points are the
+template's exact coordinates, passed to each step that projects them, and
+the noise is the CovarianceBank's init_homography and homography_process,
+read where they are used.  The predict step applies the global
 AffineSimilarity to the homography, exactly: the mean goes through the 3x3
 product A H, whose last-row structure leaves (h31, h32) bitwise unchanged.
 The update step treats the first-stage filter's posterior keypoint means as
@@ -30,7 +32,6 @@ from .geometry import (
     homography_params,
     ransac_homography,
 )
-from .keypoint_filter import check_covariance
 from .motion import AffineSimilarity
 
 MAX_INNOVATION_CONDITION = 1e12
@@ -38,40 +39,18 @@ _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class HomographyNoiseConfig:
-    """Homography process noise plus the init covariance."""
-
-    homography_process: np.ndarray       # (8, 8)
-    init_cov: np.ndarray                 # (8, 8) covariance of the RANSAC init
-
-    def __post_init__(self):
-        object.__setattr__(self, "homography_process",
-                           check_covariance("homography_process", self.homography_process, (8, 8)))
-        object.__setattr__(self, "init_cov", check_covariance("init_cov", self.init_cov, (8, 8)))
-
-
-@dataclass(frozen=True)
 class HomographyFilterState:
-    """Template field points, homography parameters and their 8x8 covariance."""
+    """Homography parameters and their 8x8 covariance."""
 
-    field_mean: np.ndarray  # (2N,) template coordinates, meters
     h_mean: np.ndarray      # (8,) column-stacked homography parameters
     cov: np.ndarray         # (8, 8) homography covariance
 
     def __post_init__(self):
-        for name in ("field_mean", "h_mean", "cov"):
+        for name in ("h_mean", "cov"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        fm, hm, cov = self.field_mean, self.h_mean, self.cov
-        if fm.ndim != 1 or fm.shape[0] % 2 or hm.shape != (8,) or cov.shape != (8, 8):
+        if self.h_mean.shape != (8,) or self.cov.shape != (8, 8):
             raise DimensionMismatch(
-                f"inconsistent state shapes: field {fm.shape}, h {hm.shape}, cov {cov.shape}")
-
-    @property
-    def n(self):
-        return self.field_mean.shape[0] // 2
-
-    def field_points(self):
-        return self.field_mean.reshape(-1, 2)
+                f"inconsistent state shapes: h {self.h_mean.shape}, cov {self.cov.shape}")
 
 
 def reconstruct_homography(state):
@@ -79,12 +58,12 @@ def reconstruct_homography(state):
     return homography_from_params(state.h_mean)
 
 
-def ekf_init(frame, template, noise, ransac=RansacParams()):
+def ekf_init(frame, template, bank, ransac=RansacParams()):
     """Initialize from one frame: robust homography fit against the template.
 
     frame.ids are canonical template indices; needs >= 4 observations.  The
-    field points are the template positions; the homography starts at the
-    RANSAC estimate with the configured init covariance.
+    homography starts at the RANSAC estimate with the bank's init_homography
+    covariance.
 
     Raises InsufficientPoints and DegenerateConfiguration (which also covers
     a failed RANSAC consensus).
@@ -103,11 +82,7 @@ def ekf_init(frame, template, noise, ransac=RansacParams()):
     except NoConsensus as e:
         raise DegenerateConfiguration(f"no RANSAC consensus at init: {e}") from e
 
-    return HomographyFilterState(
-        field_mean=template.positions.ravel().copy(),
-        h_mean=homography_params(H0),
-        cov=noise.init_cov.copy(),
-    )
+    return HomographyFilterState(h_mean=homography_params(H0), cov=bank.init_homography.copy())
 
 
 def _transition_matrix(motion):
@@ -120,27 +95,27 @@ def _transition_matrix(motion):
     return F
 
 
-def ekf_predict(state, motion, noise):
-    """Propagate: field points static, homography through H <- A H.
+def ekf_predict(state, motion, bank):
+    """Propagate the homography through H <- A H.
 
     The homography mean is computed as the literal 3x3 product, so the
     predicted (h31, h32) equal their priors bitwise (A's last row is exactly
     (0, 0, 1)).  The covariance becomes F P F^T + Q, with F the 8x8
-    transition, and is symmetrized.
+    transition and Q the bank's homography_process, and is symmetrized.
     """
     if not isinstance(motion, AffineSimilarity):
         raise TypeError(f"motion must be an AffineSimilarity, got {type(motion)!r}")
     H_new = motion.as_matrix() @ reconstruct_homography(state)
     F = _transition_matrix(motion)
     cov = F @ state.cov @ F.T
-    cov += noise.homography_process
+    cov += bank.homography_process
     return replace(state, h_mean=homography_params(H_new), cov=0.5 * (cov + cov.T))
 
 
-def _projection_terms(state, active_idx):
+def _projection_terms(state, active_idx, template):
     """X, Y, D (K,) and the projections uv (2, K) of the active keypoints."""
     h = state.h_mean
-    pts = state.field_points()[active_idx]
+    pts = template.positions[active_idx]
     X, Y = pts[:, 0], pts[:, 1]
     D = h[2] * X + h[5] * Y + 1.0
     if np.any(np.abs(D) <= EPS_T):
@@ -155,17 +130,17 @@ def _check_active(active_idx, n):
         raise UnknownKeypointId(f"active index out of range for {n} keypoints")
 
 
-def predict_measurements(state, active_idx):
-    """Projected pixel positions (K, 2) of the active field keypoints."""
+def predict_measurements(state, active_idx, template):
+    """Projected pixel positions (K, 2) of the active template keypoints."""
     active_idx = np.asarray(active_idx, dtype=int)
-    _check_active(active_idx, state.n)
-    return _projection_terms(state, active_idx)[3].T.copy()
+    _check_active(active_idx, template.n)
+    return _projection_terms(state, active_idx, template)[3].T.copy()
 
 
-def _jacobian_terms(state, active_idx):
+def _jacobian_terms(state, active_idx, template):
     """Projections (K, 2) and the homography Jacobian (2K, 8), in one pass."""
     h = state.h_mean
-    X, Y, D, uv = _projection_terms(state, active_idx)
+    X, Y, D, uv = _projection_terms(state, active_idx, template)
     # row pairs (u, v) per keypoint; columns follow measurement_jacobian
     Jh = np.zeros((active_idx.size, 2, 8))
     Jh[:, 0, 0] = Jh[:, 1, 1] = X / D
@@ -176,10 +151,10 @@ def _jacobian_terms(state, active_idx):
     return uv.T, Jh.reshape(2 * active_idx.size, 8)
 
 
-def measurement_jacobian(state, active_idx):
+def measurement_jacobian(state, active_idx, template):
     """Jacobian (2K, 8) of the projections w.r.t. the homography parameters.
 
-    Rows alternate u, v per active keypoint; columns follow h_mean's
+    Rows alternate u, v per active template keypoint; columns follow h_mean's
     column-stacked order.  With D = h31 X + h32 Y + 1:
 
         du/d(h11, h12, h13) = (X, Y, 1)/D         (v-row: h21, h22, h23)
@@ -188,8 +163,8 @@ def measurement_jacobian(state, active_idx):
     Raises NumericalDegeneracy when a denominator magnitude is <= EPS_T.
     """
     active_idx = np.asarray(active_idx, dtype=int)
-    _check_active(active_idx, state.n)
-    return _jacobian_terms(state, active_idx)[1]
+    _check_active(active_idx, template.n)
+    return _jacobian_terms(state, active_idx, template)[1]
 
 
 def _innovation_bounds(JC, a, b, c, det):
@@ -275,13 +250,13 @@ def _information_update(P, J, R_blocks, nu, max_condition):
     return Bt.T @ Y[:, -1], 0.5 * (cov + cov.T)
 
 
-def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITION):
+def ekf_update(state, kp_state, active_idx, template, max_condition=MAX_INNOVATION_CONDITION):
     """Correct the state against the first-stage posterior.
 
-    The measurement for each active keypoint is the first-stage filter's
-    posterior mean, with that filter's posterior covariance block as the
-    measurement noise.  An empty active set returns the state unchanged
-    (pure-predict frame).
+    active_idx indexes the template's keypoints.  The measurement for each
+    active keypoint is the first-stage filter's posterior mean, with that
+    filter's posterior covariance block as the measurement noise.  An empty
+    active set returns the state unchanged (pure-predict frame).
 
     The update runs in information form, in the state dimension 8 rather
     than in the 2K of the measurement: P+ = (P^-1 + J^T R^-1 J)^-1 through
@@ -294,20 +269,20 @@ def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITI
     Raises SingularInnovation when an input is not finite, an R block is not
     positive definite, or the innovation covariance is not positive definite
     or has condition number above max_condition (callers skip the frame),
-    UnknownKeypointId for an active index outside the state, and
+    UnknownKeypointId for an active index outside the template, and
     NumericalDegeneracy from the Jacobian.
     """
     active_idx = np.asarray(active_idx, dtype=int)
     if active_idx.size == 0:
         return state
-    n = state.n
+    n = template.n
     if kp_state.n != n:
-        raise DimensionMismatch(f"keypoint state has {kp_state.n} keypoints, EKF has {n}")
+        raise DimensionMismatch(f"keypoint state has {kp_state.n} keypoints, template has {n}")
     _check_active(active_idx, n)
     if not np.all(kp_state.measured_ever[active_idx]):
         raise ValueError("active keypoint was never measured; it has no estimate to fuse")
 
-    pred, J = _jacobian_terms(state, active_idx)
+    pred, J = _jacobian_terms(state, active_idx, template)
     nu = (kp_state.keypoint_means()[active_idx] - pred).ravel()
     R_blocks = kp_state.cov[active_idx]
 

@@ -136,9 +136,11 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
     motion, keypoint predict + update, homography predict + update over the
     active set, emit.  Update failures are flagged and skipped, never fatal.
     State memory is flat in sequence length.  The keypoint stage is linear
-    in keypoint count.  The homography stage, under the bank's static
-    field, stores only the 8x8 homography covariance; its update is 8x8
-    algebra in information form over the 2K x 8 homography Jacobian, gated
+    in keypoint count.  The bank, checked when it was built, is the only
+    noise: its blocks in template order for the keypoint stage, its 8x8
+    matrices as they are for the homography stage.  That stage stores only
+    the homography and its 8x8 covariance over the static template; its
+    update is 8x8 algebra in information form over the 2K x 8 Jacobian, gated
     by a certified bound on the innovation's condition number (the exact
     eigenvalue test runs only when the bound cannot decide).  Motion under
     "estimate" is fitted in closed form.
@@ -147,7 +149,6 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
     initialized, and UnknownKeypointId on out-of-template indices.
     """
     kp_noise = bank.noise_for(template)
-    h_noise = bank.homography_noise()
     kp_state = None
     h_state = None
 
@@ -157,7 +158,7 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
         if h_state is None:
             if meas.k >= 4:
                 try:
-                    h_state = ekf_init(meas, template, h_noise, ransac=options.ransac)
+                    h_state = ekf_init(meas, template, bank, ransac=options.ransac)
                 except (InsufficientPoints, DegenerateConfiguration):
                     flags.append("init_failed")
             if h_state is None:
@@ -181,11 +182,11 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
             kp_state = lkf_update(kp_state, meas, kp_noise)
         except SingularInnovation:
             flags.append("keypoint_update_skipped")
-        h_state = ekf_predict(h_state, motion, h_noise)
+        h_state = ekf_predict(h_state, motion, bank)
         active = np.flatnonzero(getattr(kp_state, options.ekf_active_set))
         if active.size:
             try:
-                h_state = ekf_update(h_state, kp_state, active,
+                h_state = ekf_update(h_state, kp_state, active, template,
                                      max_condition=options.max_condition)
             except (SingularInnovation, NumericalDegeneracy):
                 flags.append("homography_update_skipped")

@@ -32,25 +32,20 @@ from .seqio import SequenceFrame
 
 @dataclass(frozen=True)
 class SimNoise:
-    """Noise terms of the generative model.
+    """Noise terms of the generative model, both injected during generation.
 
-    measurement and homography_process are injected during generation.
-    keypoint_process is NOT injected -- ground-truth keypoints stay exact
-    homography images by construction -- but it is carried so a matched
-    covariance bank can be emitted alongside the sequence.
+    There is no keypoint process noise: ground-truth keypoints stay exact
+    homography images by construction.
     """
 
     measurement: np.ndarray = dc_field(default_factory=lambda: np.zeros((2, 2)))
     homography_process: np.ndarray = dc_field(default_factory=lambda: np.zeros((8, 8)))
-    keypoint_process: np.ndarray = dc_field(default_factory=lambda: np.zeros((2, 2)))
 
     def __post_init__(self):
         object.__setattr__(self, "measurement",
                            check_covariance("measurement", self.measurement, (2, 2)))
         object.__setattr__(self, "homography_process",
                            check_covariance("homography_process", self.homography_process, (8, 8)))
-        object.__setattr__(self, "keypoint_process",
-                           check_covariance("keypoint_process", self.keypoint_process, (2, 2)))
 
 
 def _chol_or_none(cov):
@@ -178,19 +173,14 @@ def generate_sequence(config):
 def matched_bank(config, init_homography_cov=None):
     """Covariance bank matching a simulation config (pooled entries only).
 
-    The init covariance is not part of the generative model; pass one or get
-    the package's reference default.
+    The keypoint process is zero, as in the generative model.  The init
+    covariance is not part of the model; pass one or get the package's
+    reference default.
     """
     init_cov = DEFAULT_INIT_HOMOGRAPHY if init_homography_cov is None else init_homography_cov
     return CovarianceBank(
-        keypoint_process={},
-        keypoint_process_pooled=repair_psd(config.noise.keypoint_process),
-        keypoint_process_counts={},
-        measurement={},
+        keypoint_process_pooled=np.zeros((2, 2)),
         measurement_pooled=repair_psd(config.noise.measurement),
-        measurement_counts={},
         homography_process=repair_psd(config.noise.homography_process),
-        homography_process_samples=0,
         init_homography=repair_psd(np.asarray(init_cov, dtype=float)),
-        init_homography_samples=0,
     )

@@ -148,7 +148,7 @@ def _transition_matrix(motion):
     return F
 
 
-def ekf_init(frame, template, noise, ransac=RansacParams()):
+def ekf_init(frame, template, bank, ransac=RansacParams()):
     if frame.k < 4:
         raise InsufficientPoints(f"initialization needs >= 4 measurements, got {frame.k}")
     try:
@@ -159,32 +159,31 @@ def ekf_init(frame, template, noise, ransac=RansacParams()):
             confidence=ransac.confidence)
     except NoConsensus as e:
         raise DegenerateConfiguration(f"no RANSAC consensus at init: {e}") from e
-    return HomographyFilterState(field_mean=template.positions.ravel().copy(),
-                                 h_mean=homography_params(H0), cov=noise.init_cov.copy())
+    return HomographyFilterState(h_mean=homography_params(H0), cov=bank.init_homography.copy())
 
 
-def ekf_predict(state, motion, noise):
+def ekf_predict(state, motion, bank):
     H_new = motion.as_matrix() @ reconstruct_homography(state)
     F = _transition_matrix(motion)
-    cov = F @ state.cov @ F.T + noise.homography_process
+    cov = F @ state.cov @ F.T + bank.homography_process
     cov = 0.5 * (cov + cov.T)
     return replace(state, h_mean=homography_params(H_new), cov=cov)
 
 
-def ekf_update(state, kp_state, active_idx, max_condition=MAX_INNOVATION_CONDITION):
+def ekf_update(state, kp_state, active_idx, template, max_condition=MAX_INNOVATION_CONDITION):
     active_idx = np.asarray(active_idx, dtype=int)
     if active_idx.size == 0:
         return state
-    n = state.n
+    n = template.n
     if kp_state.n != n:
-        raise DimensionMismatch(f"keypoint state has {kp_state.n} keypoints, EKF has {n}")
+        raise DimensionMismatch(f"keypoint state has {kp_state.n} keypoints, template has {n}")
     if not np.all(kp_state.measured_ever[active_idx]):
         raise ValueError("active keypoint was never measured; it has no estimate to fuse")
     ci = _coord_idx(active_idx)
     z = kp_state.mean[ci]
     R = kp_state.cov[np.ix_(ci, ci)]
-    J = measurement_jacobian(state, active_idx)
-    pred = predict_measurements(state, active_idx).ravel()
+    J = measurement_jacobian(state, active_idx, template)
+    pred = predict_measurements(state, active_idx, template).ravel()
     P = state.cov
     S = J @ P @ J.T + R
     S = 0.5 * (S + S.T)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fieldreg
-from fieldreg import ImageDims, standard_soccer_template
+from fieldreg import CovarianceBank, ImageDims, standard_soccer_template
 from fieldreg.geometry import dlt_homography
 from numpy_polygons import ensure_ccw
 
@@ -35,6 +35,12 @@ def run_python(args, kernel_env):
     path = [src, str(pathlib.Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, **kernel_env, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def pooled_bank(init_homography=1e-2 * np.eye(8), homography_process=1e-6 * np.eye(8)):
+    """Bank with pooled entries only; the 8x8 matrices default to small noise."""
+    return CovarianceBank(keypoint_process_pooled=np.zeros((2, 2)), measurement_pooled=np.eye(2),
+                          homography_process=homography_process, init_homography=init_homography)
 
 
 def view_homography(rng=None, dims=DIMS, template=TEMPLATE, jitter_px=0.0):

@@ -28,6 +28,7 @@ from fieldreg.defaults import (
     default_covariance_bank,
 )
 from fieldreg.errors import DegenerateProjection, NumericalDegeneracy, SingularInnovation
+from fieldreg.field import FieldTemplate
 from fieldreg.geometry import (
     apply_homography,
     dlt_homography,
@@ -40,7 +41,6 @@ from fieldreg.geometry import (
 )
 from fieldreg.homography_filter import (
     HomographyFilterState,
-    HomographyNoiseConfig,
     ekf_init,
     ekf_predict,
     ekf_update,
@@ -64,7 +64,14 @@ from fieldreg.pipeline import run_filter, run_ransac_baseline
 from fieldreg.seqio import read_report
 from fieldreg.simulator import SimConfig, SimNoise, generate_sequence, pan_motion_script
 from dense_filter import block_diag
-from helpers import DIMS, TEMPLATE, fd_jacobian, random_homography, view_homography
+from helpers import (
+    DIMS,
+    TEMPLATE,
+    fd_jacobian,
+    pooled_bank,
+    random_homography,
+    view_homography,
+)
 
 
 @contextlib.contextmanager
@@ -170,14 +177,14 @@ def test_criterion_03_jacobian_matches_finite_differences():
             if np.linalg.cond(H) >= JACOBIAN_MAX_COND or np.any(den < 0.2):
                 continue
             trials += 1
-            state = HomographyFilterState(field_mean=pts.ravel(),
-                                          h_mean=homography_params(H), cov=np.eye(8))
+            field = FieldTemplate(np.arange(pts.shape[0]), pts)
+            state = HomographyFilterState(h_mean=homography_params(H), cov=np.eye(8))
             active = np.arange(pts.shape[0])
-            J = measurement_jacobian(state, active)
+            J = measurement_jacobian(state, active, field)
 
-            def f(x, pts=pts, active=active):
-                s = HomographyFilterState(field_mean=pts.ravel(), h_mean=x, cov=np.eye(8))
-                return predict_measurements(s, active).ravel()
+            def f(x, field=field, active=active):
+                s = HomographyFilterState(h_mean=x, cov=np.eye(8))
+                return predict_measurements(s, active, field).ravel()
 
             J_fd = fd_jacobian(f, state.h_mean, step=JACOBIAN_FD_STEP)
             assert J.shape == J_fd.shape == (2 * active.size, 8)
@@ -229,7 +236,8 @@ def test_criterion_04_calibration_recovers_injected_noise():
                 gt_positions=TEMPLATE.positions,
                 measured_ids=all_ids,
                 measured_positions=TEMPLATE.positions + noise, motion=None))
-        check_recovery(estimate_measurement_cov(records).pooled, true_meas)
+        _, meas_pooled, _ = estimate_measurement_cov(records)
+        check_recovery(meas_pooled, true_meas)
 
         # homography process covariance: 100 chains x 100 transitions
         true_h_var = np.array([2.5e-4, 2.5e-4, 1e-10, 2.5e-4, 2.5e-4, 1e-10, 4.0, 4.0])
@@ -268,9 +276,9 @@ def test_criterion_04_calibration_recovers_injected_noise():
                 seq.append(TrainingRecord(t, np.eye(3), all_ids, pos, mids, mpos.copy(),
                                           motion))
             sequences.append(seq)
-        est_kp = estimate_keypoint_process_cov(sequences)
-        assert sum(est_kp.counts.values()) == 25 * 13 * n_ids
-        check_recovery(est_kp.pooled, true_kp)
+        _, kp_pooled, kp_counts = estimate_keypoint_process_cov(sequences)
+        assert sum(kp_counts.values()) == 25 * 13 * n_ids
+        check_recovery(kp_pooled, true_kp)
 
 
 # -- 5: covariance health over 1000 filter steps -----------------------------
@@ -291,7 +299,6 @@ def test_criterion_05_covariances_stay_symmetric_psd():
     with criterion(5, "covariances symmetric and PSD over 1000 filter steps"):
         bank = default_covariance_bank()
         kp_noise = bank.noise_for(TEMPLATE)
-        h_noise = bank.homography_noise()
         scenarios = [
             simulate(500, seed=51, dropout=0.3,
                      noise=SimNoise(measurement=DEFAULT_MEASUREMENT,
@@ -309,7 +316,7 @@ def test_criterion_05_covariances_stay_symmetric_psd():
                 if h_state is None:
                     if meas.k < 4:
                         continue
-                    h_state = ekf_init(meas, TEMPLATE, h_noise)
+                    h_state = ekf_init(meas, TEMPLATE, bank)
                     kp_state = lkf_update(init_keypoint_state(TEMPLATE.n), meas, kp_noise)
                     assert_healthy(h_state.cov, f"init h f{frame.frame_index}")
                     assert_healthy(block_diag(kp_state.cov), f"init kp f{frame.frame_index}")
@@ -322,12 +329,12 @@ def test_criterion_05_covariances_stay_symmetric_psd():
                 except SingularInnovation:
                     pass
                 assert_healthy(block_diag(kp_state.cov), f"kp update f{frame.frame_index}")
-                h_state = ekf_predict(h_state, frame.motion, h_noise)
+                h_state = ekf_predict(h_state, frame.motion, bank)
                 assert_healthy(h_state.cov, f"h predict f{frame.frame_index}")
                 active = np.flatnonzero(kp_state.measured_now)
                 if active.size:
                     try:
-                        h_state = ekf_update(h_state, kp_state, active)
+                        h_state = ekf_update(h_state, kp_state, active, TEMPLATE)
                     except (SingularInnovation, NumericalDegeneracy):
                         pass
                 assert_healthy(h_state.cov, f"h update f{frame.frame_index}")
@@ -472,18 +479,14 @@ RECURSION_TOL = 1e-12
 def test_criterion_07_predict_is_exact_composition():
     with criterion(7, "predicted homography equals motion-composed previous one"):
         rng = np.random.default_rng(7)
-        noise = HomographyNoiseConfig(homography_process=1e-6 * np.eye(8),
-                                      init_cov=np.eye(8))
-        field = np.array([1.0, 2.0, 3.0, 4.0])
+        bank = pooled_bank(init_homography=np.eye(8))
         for _ in range(RECURSION_PAIRS):
             H = random_homography(rng, spread=0.4)
             motion = AffineSimilarity(a=1.0 + rng.normal(0, 0.05),
                                       b=rng.normal(0, 0.05),
                                       tx=rng.normal(0, 5.0), ty=rng.normal(0, 5.0))
-            state = HomographyFilterState(field_mean=field,
-                                          h_mean=homography_params(H),
-                                          cov=np.eye(8))
-            pred = ekf_predict(state, motion, noise)
+            state = HomographyFilterState(h_mean=homography_params(H), cov=np.eye(8))
+            pred = ekf_predict(state, motion, bank)
             R = reconstruct_homography(pred)
             expected = motion.as_matrix() @ H
             assert np.abs(R - expected).max() <= RECURSION_TOL

@@ -116,11 +116,11 @@ def test_singular_matched_bank_prior_matches_dense_without_forming_s(monkeypatch
     monkeypatch.setattr(homography_filter, "_exact_gate",
                         lambda *args: gate_calls.append(args) or exact_gate(*args))
 
-    def checked_update(state, kp, active, max_condition):
-        got = homography_filter.ekf_update(state, kp, active, max_condition)
+    def checked_update(state, kp, active, template, max_condition):
+        got = homography_filter.ekf_update(state, kp, active, template, max_condition)
         dense_kp = dense.DenseKeypointState(kp.mean, dense.block_diag(kp.cov),
                                             kp.measured_ever, kp.measured_now)
-        want = dense.ekf_update(state, dense_kp, active, max_condition)
+        want = dense.ekf_update(state, dense_kp, active, template, max_condition)
         for a, b in ((got.h_mean, want.h_mean), (got.cov, want.cov)):
             assert np.linalg.norm(a - b) <= HOMOGRAPHY_RTOL * np.linalg.norm(b)
         steps.append(state.cov)

@@ -14,7 +14,6 @@ from fieldreg.errors import (
 from fieldreg.geometry import apply_homography, homography_params
 from fieldreg.homography_filter import (
     HomographyFilterState,
-    HomographyNoiseConfig,
     _transition_matrix,
     ekf_init,
     ekf_predict,
@@ -27,26 +26,19 @@ from fieldreg.keypoint_filter import KeypointFilterState, MeasurementFrame
 from fieldreg.motion import AffineSimilarity
 import dense_filter as dense
 from dense_filter import block_diag
-from helpers import TEMPLATE, fd_jacobian, view_homography
+from helpers import TEMPLATE, fd_jacobian, pooled_bank, view_homography
 
 
-def small_noise(n=None):
-    return HomographyNoiseConfig(
-        homography_process=1e-6 * np.eye(8),
-        init_cov=1e-2 * np.eye(8),
-    )
-
-
-def init_state(seed=0, noise=None):
+def init_state(seed=0, bank=None):
     H = view_homography()
     ids = np.arange(TEMPLATE.n)
     frame = MeasurementFrame(0, ids, apply_homography(H, TEMPLATE.positions))
-    return ekf_init(frame, TEMPLATE, noise or small_noise()), H
+    return ekf_init(frame, TEMPLATE, bank or pooled_bank()), H
 
 
 def full_kp_state(rng, state, meas_cov_scale=1.0):
     """First-stage posterior stand-in: noisy projections, SPD block covariance."""
-    n = state.n
+    n = TEMPLATE.n
     proj = apply_homography(reconstruct_homography(state), TEMPLATE.positions)
     mean = (proj + rng.normal(0, 1.0, size=proj.shape)).ravel()
     cov = np.zeros((n, 2, 2))
@@ -75,20 +67,19 @@ def test_transition_matrix_blocks():
 def test_ekf_init_recovers_exact_homography():
     state, H = init_state()
     assert np.abs(reconstruct_homography(state) - H).max() < 1e-9
-    assert np.array_equal(state.field_points(), TEMPLATE.positions)
-    assert np.array_equal(state.cov, small_noise().init_cov)
+    assert np.array_equal(state.cov, pooled_bank().init_homography)
 
 
 def test_ekf_init_input_checks():
     frame = MeasurementFrame(0, np.arange(3), np.zeros((3, 2)))
     with pytest.raises(InsufficientPoints):
-        ekf_init(frame, TEMPLATE, small_noise())
+        ekf_init(frame, TEMPLATE, pooled_bank())
     # template positions all on the x = 0 goal line: every 4-sample is collinear
     ids = np.array([0, 3, 11, 14, 15, 18])
     assert np.all(TEMPLATE.positions[ids][:, 0] == 0.0)
     frame = MeasurementFrame(0, ids, np.arange(12, dtype=float).reshape(6, 2))
     with pytest.raises(DegenerateConfiguration):
-        ekf_init(frame, TEMPLATE, small_noise())
+        ekf_init(frame, TEMPLATE, pooled_bank())
 
 
 def test_predict_mean_is_exact_matrix_product():
@@ -97,23 +88,22 @@ def test_predict_mean_is_exact_matrix_product():
     for _ in range(20):
         m = AffineSimilarity(a=rng.normal(1, 0.1), b=rng.normal(0, 0.1),
                              tx=rng.normal(0, 5), ty=rng.normal(0, 5))
-        moved = ekf_predict(state, m, small_noise())
+        moved = ekf_predict(state, m, pooled_bank())
         expect = m.as_matrix() @ reconstruct_homography(state)
         # bitwise: the product's last row is (h31, h32, 1) untouched
         assert np.array_equal(reconstruct_homography(moved), expect)
         assert moved.h_mean[2] == state.h_mean[2]
         assert moved.h_mean[5] == state.h_mean[5]
-        assert np.array_equal(moved.field_mean, state.field_mean)
         state = moved
 
 
 def test_predict_covariance_oracle():
     state, _ = init_state()
     m = AffineSimilarity(a=1.02, b=-0.03, tx=2.0, ty=-1.0)
-    noise = small_noise()
-    moved = ekf_predict(state, m, noise)
+    bank = pooled_bank()
+    moved = ekf_predict(state, m, bank)
     F = _transition_matrix(m)
-    expect = F @ state.cov @ F.T + noise.homography_process
+    expect = F @ state.cov @ F.T + bank.homography_process
     assert moved.cov.shape == (8, 8)
     assert np.allclose(moved.cov, 0.5 * (expect + expect.T), atol=1e-15)
 
@@ -121,7 +111,7 @@ def test_predict_covariance_oracle():
 def test_predicted_measurements_are_projections():
     state, H = init_state()
     active = np.array([0, 5, 17, 30])
-    pred = predict_measurements(state, active)
+    pred = predict_measurements(state, active, TEMPLATE)
     expect = apply_homography(reconstruct_homography(state), TEMPLATE.positions[active])
     assert np.allclose(pred, expect, atol=1e-12)
 
@@ -129,11 +119,11 @@ def test_predicted_measurements_are_projections():
 def test_jacobian_matches_central_differences():
     state, _ = init_state()
     active = np.array([0, 6, 12, 22, 30])
-    J = measurement_jacobian(state, active)
+    J = measurement_jacobian(state, active, TEMPLATE)
 
     def f(x):
-        s = HomographyFilterState(field_mean=state.field_mean, h_mean=x, cov=state.cov)
-        return predict_measurements(s, active).ravel()
+        s = HomographyFilterState(h_mean=x, cov=state.cov)
+        return predict_measurements(s, active, TEMPLATE).ravel()
 
     J_fd = fd_jacobian(f, state.h_mean, step=1e-6)
     assert J.shape == (10, 8)
@@ -144,19 +134,19 @@ def test_jacobian_matches_central_differences():
 def test_update_matches_dense_oracle():
     rng = np.random.default_rng(1)
     state, _ = init_state()
-    n = state.n
+    n = TEMPLATE.n
     kp = full_kp_state(rng, state)
     active = np.sort(rng.choice(n, size=12, replace=False))
 
-    updated = ekf_update(state, kp, active)
+    updated = ekf_update(state, kp, active, TEMPLATE)
 
     ci = np.empty(2 * active.size, dtype=int)
     ci[0::2] = 2 * active
     ci[1::2] = 2 * active + 1
     z = kp.mean[ci]
     R = block_diag(kp.cov)[np.ix_(ci, ci)]
-    J = measurement_jacobian(state, active)
-    pred = predict_measurements(state, active).ravel()
+    J = measurement_jacobian(state, active, TEMPLATE)
+    pred = predict_measurements(state, active, TEMPLATE).ravel()
     P = state.cov
     S = J @ P @ J.T + R
     K = P @ J.T @ np.linalg.inv(0.5 * (S + S.T))
@@ -165,7 +155,6 @@ def test_update_matches_dense_oracle():
     cov = IKJ @ P @ IKJ.T + K @ R @ K.T
 
     assert np.allclose(updated.h_mean, mean, atol=1e-9)
-    assert np.array_equal(updated.field_mean, state.field_mean)
     assert np.allclose(updated.cov, 0.5 * (cov + cov.T), atol=1e-9)
 
 
@@ -179,15 +168,14 @@ def test_update_pulls_homography_toward_truth():
     # vague prior scaled to each parameter's magnitude (the perspective terms
     # h31, h32 live at 1e-3, the translation terms at 1e2)
     loose = np.diag([1.0, 1.0, 1e-8, 1.0, 1.0, 1e-8, 1e4, 1e4])
-    bad = HomographyFilterState(field_mean=state.field_mean,
-                                h_mean=p_bad, cov=loose)
-    n = state.n
+    bad = HomographyFilterState(h_mean=p_bad, cov=loose)
+    n = TEMPLATE.n
     proj = apply_homography(H, TEMPLATE.positions)
     kp = KeypointFilterState(mean=proj.ravel(),
                              cov=np.tile(0.01 * np.eye(2), (n, 1, 1)),
                              measured_ever=np.ones(n, dtype=bool),
                              measured_now=np.ones(n, dtype=bool))
-    updated = ekf_update(bad, kp, np.arange(n), max_condition=1e18)
+    updated = ekf_update(bad, kp, np.arange(n), TEMPLATE, max_condition=1e18)
     err_before = np.abs(p_bad - p_true).max()
     err_after = np.abs(updated.h_mean - p_true).max()
     assert err_after < 0.1 * err_before
@@ -197,7 +185,7 @@ def test_update_empty_active_set_is_identity():
     state, _ = init_state()
     rng = np.random.default_rng(3)
     kp = full_kp_state(rng, state)
-    assert ekf_update(state, kp, np.empty(0, dtype=int)) is state
+    assert ekf_update(state, kp, np.empty(0, dtype=int), TEMPLATE) is state
 
 
 def test_update_requires_measured_keypoints():
@@ -205,10 +193,10 @@ def test_update_requires_measured_keypoints():
     rng = np.random.default_rng(4)
     kp = full_kp_state(rng, state)
     kp = KeypointFilterState(mean=kp.mean, cov=kp.cov,
-                             measured_ever=np.zeros(state.n, dtype=bool),
-                             measured_now=np.zeros(state.n, dtype=bool))
+                             measured_ever=np.zeros(TEMPLATE.n, dtype=bool),
+                             measured_now=np.zeros(TEMPLATE.n, dtype=bool))
     with pytest.raises(ValueError):
-        ekf_update(state, kp, np.array([0]))
+        ekf_update(state, kp, np.array([0]), TEMPLATE)
 
 
 def test_condition_cap_raises():
@@ -216,7 +204,7 @@ def test_condition_cap_raises():
     rng = np.random.default_rng(5)
     kp = full_kp_state(rng, state)
     with pytest.raises(SingularInnovation):
-        ekf_update(state, kp, np.arange(state.n), max_condition=1.0)
+        ekf_update(state, kp, np.arange(TEMPLATE.n), TEMPLATE, max_condition=1.0)
 
 
 def test_denominator_degeneracy_raises():
@@ -224,24 +212,24 @@ def test_denominator_degeneracy_raises():
     h = state.h_mean.copy()
     h[2] = -1.0 / 105.0      # D = 0 exactly at the (105, 0) corner
     h[5] = 0.0
-    bad = HomographyFilterState(field_mean=state.field_mean, h_mean=h, cov=state.cov)
+    bad = HomographyFilterState(h_mean=h, cov=state.cov)
     with pytest.raises(NumericalDegeneracy):
-        predict_measurements(bad, np.array([1]))
+        predict_measurements(bad, np.array([1]), TEMPLATE)
     with pytest.raises(NumericalDegeneracy):
-        measurement_jacobian(bad, np.array([1]))
+        measurement_jacobian(bad, np.array([1]), TEMPLATE)
 
 
 def test_covariance_symmetric_psd_over_steps():
     rng = np.random.default_rng(6)
     state, _ = init_state()
-    n = state.n
+    n = TEMPLATE.n
     for step in range(30):
         m = AffineSimilarity(a=rng.normal(1, 0.02), b=rng.normal(0, 0.02),
                              tx=rng.normal(0, 2), ty=rng.normal(0, 2))
-        state = ekf_predict(state, m, small_noise())
+        state = ekf_predict(state, m, pooled_bank())
         kp = full_kp_state(rng, state)
         active = np.sort(rng.choice(n, size=rng.integers(4, n), replace=False))
-        state = ekf_update(state, kp, active)
+        state = ekf_update(state, kp, active, TEMPLATE)
         assert np.array_equal(state.cov, state.cov.T)
         assert np.linalg.eigvalsh(state.cov).min() > -1e-9
 
@@ -256,7 +244,7 @@ def test_indefinite_keypoint_block_raises():
     kp = KeypointFilterState(mean=kp.mean, cov=cov, measured_ever=kp.measured_ever,
                              measured_now=kp.measured_now)
     with pytest.raises(SingularInnovation):
-        ekf_update(state, kp, np.arange(state.n), max_condition=np.inf)
+        ekf_update(state, kp, np.arange(TEMPLATE.n), TEMPLATE, max_condition=np.inf)
 
 
 def test_zeroed_keypoint_block_among_many_raises():
@@ -268,11 +256,11 @@ def test_zeroed_keypoint_block_among_many_raises():
     cov[4] = 0.0
     kp = KeypointFilterState(mean=kp.mean, cov=cov, measured_ever=kp.measured_ever,
                              measured_now=kp.measured_now)
-    active = np.arange(state.n)
-    J = measurement_jacobian(state, active)
+    active = np.arange(TEMPLATE.n)
+    J = measurement_jacobian(state, active, TEMPLATE)
     assert np.linalg.eigvalsh(J @ state.cov @ J.T + block_diag(cov)).min() > 0.0
     with pytest.raises(SingularInnovation, match="not positive definite"):
-        ekf_update(state, kp, active)
+        ekf_update(state, kp, active, TEMPLATE)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -286,20 +274,20 @@ def test_non_finite_innovation_raises(bad):
     kp = KeypointFilterState(mean=kp.mean, cov=cov, measured_ever=kp.measured_ever,
                              measured_now=kp.measured_now)
     with pytest.raises(SingularInnovation):
-        ekf_update(state, kp, np.arange(state.n), max_condition=np.inf)
+        ekf_update(state, kp, np.arange(TEMPLATE.n), TEMPLATE, max_condition=np.inf)
 
 
 @pytest.mark.parametrize("bad", ["n", -1])
 def test_out_of_range_active_index_raises(bad):
     state, _ = init_state()
     kp = full_kp_state(np.random.default_rng(9), state)
-    active = np.array([0, state.n if bad == "n" else bad])
+    active = np.array([0, TEMPLATE.n if bad == "n" else bad])
     with pytest.raises(UnknownKeypointId):
-        ekf_update(state, kp, active)
+        ekf_update(state, kp, active, TEMPLATE)
     with pytest.raises(UnknownKeypointId):
-        predict_measurements(state, active)
+        predict_measurements(state, active, TEMPLATE)
     with pytest.raises(UnknownKeypointId):
-        measurement_jacobian(state, active)
+        measurement_jacobian(state, active, TEMPLATE)
 
 
 def dense_kp(kp):
@@ -309,7 +297,7 @@ def dense_kp(kp):
 
 def exact_spectrum(state, kp, active):
     """Extreme eigenvalues of the dense S = J P J^T + R."""
-    J = measurement_jacobian(state, active)
+    J = measurement_jacobian(state, active, TEMPLATE)
     R = block_diag(kp.cov[active])
     S = J @ state.cov @ J.T + R
     eig = np.linalg.eigvalsh(0.5 * (S + S.T))
@@ -323,14 +311,15 @@ def innovation_bounds(JC, blocks):
 
 
 def cheap_condition_bound(state, kp, active):
-    J = measurement_jacobian(state, active)
+    J = measurement_jacobian(state, active, TEMPLATE)
     lo, hi = innovation_bounds(J @ np.linalg.cholesky(state.cov), kp.cov[active])
     return hi / lo
 
 
 def assert_matches_dense(state, kp, active, max_condition):
-    got = ekf_update(state, kp, active, max_condition=max_condition)
-    want = dense.ekf_update(state, dense_kp(kp), active, max_condition=max_condition)
+    got = ekf_update(state, kp, active, TEMPLATE, max_condition=max_condition)
+    want = dense.ekf_update(state, dense_kp(kp), active, TEMPLATE,
+                            max_condition=max_condition)
     for a, b in ((got.h_mean, want.h_mean), (got.cov, want.cov)):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -365,11 +354,9 @@ def test_condition_bounds_enclose_exact_spectrum():
 
 
 def gate_case():
-    noise = HomographyNoiseConfig(homography_process=1e-6 * np.eye(8),
-                                  init_cov=1e-6 * np.eye(8))
-    state, _ = init_state(noise=noise)
+    state, _ = init_state(bank=pooled_bank(init_homography=1e-6 * np.eye(8)))
     kp = full_kp_state(np.random.default_rng(11), state)
-    active = np.arange(state.n)
+    active = np.arange(TEMPLATE.n)
     lo, hi = exact_spectrum(state, kp, active)
     return state, kp, active, hi / lo
 
@@ -388,7 +375,7 @@ def test_fallback_accepts_between_exact_condition_and_bound(monkeypatch):
 def test_cap_just_below_exact_condition_raises():
     state, kp, active, cond = gate_case()
     with pytest.raises(SingularInnovation):
-        ekf_update(state, kp, active, max_condition=cond * (1.0 - 1e-6))
+        ekf_update(state, kp, active, TEMPLATE, max_condition=cond * (1.0 - 1e-6))
 
 
 def test_cheap_path_matches_dense_oracle(monkeypatch):
@@ -403,9 +390,8 @@ def test_rank_deficient_init_cov_matches_dense(monkeypatch):
     # factor; its eigenpairs factor it, and the bound still decides the gate
     init_cov = 1e-2 * np.eye(8)
     init_cov[:2, :2] = 2.0 ** -6
-    noise = HomographyNoiseConfig(homography_process=1e-6 * np.eye(8), init_cov=init_cov)
-    state, _ = init_state(noise=noise)
+    state, _ = init_state(bank=pooled_bank(init_homography=init_cov))
     kp = full_kp_state(np.random.default_rng(12), state)
     calls = spy_on_exact_gate(monkeypatch)
-    assert_matches_dense(state, kp, np.arange(state.n), 1e12)
+    assert_matches_dense(state, kp, np.arange(TEMPLATE.n), 1e12)
     assert not calls

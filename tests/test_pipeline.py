@@ -593,9 +593,11 @@ def test_cli_error_paths(tmp_path, capsys):
     bad_cfg.write_text("[]")
     assert cli_main(["simulate", "--output", out, "--config", str(bad_cfg)]) == 1
     # a noise config that is neither a preset nor an object, a misspelt key
-    # and the removed field_process key are errors, not zero noise
+    # and the removed field_process and keypoint_process keys are errors, not
+    # zero noise
     for noise, named in ((5, "int"), ({"measurment": [[1, 0], [0, 1]]}, "'measurment'"),
-                         ({"field_process": [[0.01, 0], [0, 0.01]]}, "'field_process'")):
+                         ({"field_process": [[0.01, 0], [0, 0.01]]}, "'field_process'"),
+                         ({"keypoint_process": [[0.01, 0], [0, 0.01]]}, "'keypoint_process'")):
         bad_cfg.write_text(json.dumps({"noise": noise, "frames": 3}))
         capsys.readouterr()
         assert cli_main(["simulate", "--output", out, "--config", str(bad_cfg)]) == 1
@@ -806,6 +808,30 @@ def test_bank_matrices_must_be_finite(tmp_path, capsys, at):
     assert cli_main(["filter", "--input", str(GOLDEN / "golden_sequence.jsonl"),
                      "--bank", str(bank), "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bank}: non-finite {key} value")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("at, value, message", [
+    # every keypoint has its own block in the golden bank, so the pooled
+    # keypoint_process is unused, and it is checked all the same
+    (("keypoint_process", "pooled", 0, 1), 1.0, "keypoint_process_pooled must be symmetric"),
+    (("homography_process", 0, 1), 1.0, "homography_process must be symmetric"),
+    (("init_homography", 2, 2), -1.0, "init_homography must have nonnegative diagonals"),
+    (("measurement", "per_id", "0", 1, 1), -1.0,
+     "measurement per_id must have nonnegative diagonals"),
+])
+def test_bank_covariances_are_checked_on_read(tmp_path, capsys, at, value, message):
+    doc = json.loads((GOLDEN / "golden_bank.json").read_text())
+    row = doc
+    for key in at[:-1]:
+        row = row[key]
+    row[at[-1]] = value
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))
+    out = tmp_path / "est.jsonl"
+    assert cli_main(["filter", "--input", str(GOLDEN / "golden_sequence.jsonl"),
+                     "--bank", str(bank), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bank}: bad covariance bank: {message}\n"
     assert not out.exists()
 
 

@@ -166,11 +166,10 @@ def test_sim_noise_checks_covariances_like_the_filters(entry, message):
 
 
 def test_matched_bank():
-    cfg = noiseless_config(noise=SimNoise(measurement=DEFAULT_MEASUREMENT,
-                                          keypoint_process=0.5 * np.eye(2)))
+    cfg = noiseless_config(noise=SimNoise(measurement=DEFAULT_MEASUREMENT))
     bank = matched_bank(cfg)
     assert np.allclose(bank.measurement_pooled, DEFAULT_MEASUREMENT, atol=1e-12)
-    assert np.allclose(bank.keypoint_process_pooled, 0.5 * np.eye(2), atol=1e-12)
+    assert np.array_equal(bank.keypoint_process_pooled, np.zeros((2, 2)))
     assert bank.init_homography.shape == (8, 8)
     assert np.array_equal(bank.init_homography, bank.init_homography.T)
     assert np.linalg.eigvalsh(bank.init_homography).min() >= -1e-9
