@@ -61,7 +61,6 @@ from .homography_filter import (
     ekf_predict,
     ekf_update,
     measurement_jacobian,
-    predict_measurements,
     reconstruct_homography,
 )
 from .keypoint_filter import (
@@ -69,7 +68,6 @@ from .keypoint_filter import (
     MeasurementFrame,
     NoiseConfig,
     init_keypoint_state,
-    init_keypoint_state_from_positions,
     lkf_predict,
     lkf_update,
 )
@@ -78,13 +76,12 @@ from .metrics import (
     iou_entire,
     iou_entire_image,
     iou_part,
-    mean_average_precision,
     nrmse,
     precision_recall,
     projection_error,
     reprojection_error,
 )
-from .motion import AffineSimilarity, estimate_global_motion, fit_similarity
+from .motion import AffineSimilarity, estimate_global_motion
 from .pipeline import (
     FilterOptions,
     FrameEstimate,

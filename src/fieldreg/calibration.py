@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldRegError, NoSamples
+from .errors import DimensionMismatch, FieldRegError, NoSamples
 from .geometry import RansacParams, homography_params, normalize_homography, ransac_homography
 from .keypoint_filter import NoiseConfig, check_covariance
 from .motion import AffineSimilarity
@@ -200,13 +200,24 @@ class CovarianceBank:
     init_homography_samples: int = 0
 
     def __post_init__(self):
+        # errors name a matrix by its key in the bank file
         for name, k in (("keypoint_process_pooled", 2), ("measurement_pooled", 2),
                         ("homography_process", 8), ("init_homography", 8)):
-            object.__setattr__(self, name, check_covariance(name, getattr(self, name), (k, k)))
+            key = name.replace("_pooled", " pooled")
+            object.__setattr__(self, name, check_covariance(key, getattr(self, name), (k, k)))
         for name in ("keypoint_process", "measurement"):
-            blocks = list(getattr(self, name).values())
-            if blocks:
-                check_covariance(f"{name} per_id", blocks, (len(blocks), 2, 2))
+            blocks = getattr(self, name)
+            if not blocks:
+                continue
+            try:
+                check_covariance(f"{name} per_id", list(blocks.values()), (len(blocks), 2, 2))
+            except (DimensionMismatch, ValueError):
+                # a valid bank, read once per clip, costs one stacked
+                # check; the blocks are checked one at a time only to name
+                # the bad one
+                for i, block in blocks.items():
+                    check_covariance(f"{name} per_id {i}", block, (2, 2))
+                raise
 
     def noise_for(self, template):
         """Materialize per-keypoint NoiseConfig blocks in template order."""

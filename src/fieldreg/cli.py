@@ -78,7 +78,6 @@ CONFIG_TYPES = {
                      "pr_threshold_px"), _NUMBER),
     **dict.fromkeys(("sequence_id", "motion_source", "active_set"), ((str,), "a string")),
     **dict.fromkeys(("initial_homography", "view_corners"), ((list,), "an array")),
-    "init_from_homography": ((bool,), "true or false"),
     "noise": ((str, dict), "a preset name or an object"),
     "motion": ((dict,), "an object"),
 }
@@ -211,8 +210,7 @@ def _cmd_calibrate(args, config, template):
 
 def _cmd_filter(args, config, template):
     options = _options(args, config, functools.partial(FilterOptions, ransac=_ransac(args, config)),
-                       "motion_source", "max_condition", "seed", active_set="ekf_active_set",
-                       init_from_homography="init_all_from_homography")
+                       "motion_source", "max_condition", "seed", active_set="ekf_active_set")
     header, frames = read_sequence(args.input, template)
     bank = read_bank(args.bank) if args.bank else default_covariance_bank()
     estimates = run_filter(frames, template, bank, options)
@@ -311,8 +309,6 @@ def build_parser():
     p.add_argument("--active-set", choices=ACTIVE_SETS,
                    help="keypoints driving the homography update "
                         f"(default {FilterOptions.ekf_active_set})")
-    p.add_argument("--init-from-homography", action="store_true", default=None,
-                   help="seed every keypoint track from the initial homography")
     p.add_argument("--max-condition", type=float,
                    help="innovation condition cap before skipping an update "
                         f"(default {FilterOptions.max_condition:g})")

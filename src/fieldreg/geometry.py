@@ -33,20 +33,6 @@ RANSAC_MAX_ITERS = 2000
 RANSAC_CONFIDENCE = 0.99
 
 
-def normalize_homogeneous(point):
-    """Euclidean image (x/t, y/t) of a homogeneous vector (x, y, t).
-
-    Raises PointAtInfinity when |t| <= EPS_T.
-    """
-    p = np.asarray(point, dtype=float)
-    if p.shape != (3,):
-        raise ValueError(f"expected a homogeneous (x, y, t) vector, got shape {p.shape}")
-    t = p[2]
-    if abs(t) <= EPS_T:
-        raise PointAtInfinity(f"homogeneous scale {t} has magnitude <= {EPS_T}")
-    return p[:2] / t
-
-
 def project(H, x, y):
     """(u, v, t): points x, y through H (3 rows of 3 numbers or arrays) and
     their homogeneous scales.  Images with t = 0 are not finite; callers test t."""

@@ -130,13 +130,6 @@ def _check_active(active_idx, n):
         raise UnknownKeypointId(f"active index out of range for {n} keypoints")
 
 
-def predict_measurements(state, active_idx, template):
-    """Projected pixel positions (K, 2) of the active template keypoints."""
-    active_idx = np.asarray(active_idx, dtype=int)
-    _check_active(active_idx, template.n)
-    return _projection_terms(state, active_idx, template)[3].T.copy()
-
-
 def _jacobian_terms(state, active_idx, template):
     """Projections (K, 2) and the homography Jacobian (2K, 8), in one pass."""
     h = state.h_mean

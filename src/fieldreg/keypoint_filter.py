@@ -44,14 +44,6 @@ class MeasurementFrame:
         if not np.all(np.isfinite(pos)):
             raise ValueError("non-finite measurement position")
 
-    @classmethod
-    def from_pairs(cls, frame_index, observations):
-        obs = list(observations)
-        ids = [o[0] for o in obs]
-        pos = [o[1] for o in obs]
-        return cls(frame_index, np.array(ids, dtype=int).reshape(-1),
-                   np.array(pos, dtype=float).reshape(-1, 2))
-
     @property
     def k(self):
         return self.ids.size
@@ -134,25 +126,6 @@ def init_keypoint_state(n):
         mean=np.zeros(2 * n),
         cov=np.zeros((n, 2, 2)),
         measured_ever=np.zeros(n, dtype=bool),
-        measured_now=np.zeros(n, dtype=bool),
-    )
-
-
-def init_keypoint_state_from_positions(positions, noise):
-    """State with every keypoint pre-initialized at the given (N, 2) positions.
-
-    Covariance blocks come from the measurement noise, the same convention as
-    first-observation initialization.  Used by the init-everything-through-
-    the-initial-homography pipeline variant.
-    """
-    pos = np.asarray(positions, dtype=float)
-    n = noise.n
-    if pos.shape != (n, 2):
-        raise DimensionMismatch(f"positions {pos.shape} vs {n} noise blocks")
-    return KeypointFilterState(
-        mean=pos.ravel().copy(),
-        cov=noise.measurement.copy(),
-        measured_ever=np.ones(n, dtype=bool),
         measured_now=np.zeros(n, dtype=bool),
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProjection, NoMatchedKeypoints, NoSamples
+from .errors import DegenerateProjection, NoMatchedKeypoints
 from .geometry import (
     EPS_T,
     clip_polygon,
@@ -297,12 +297,3 @@ def average_precision(det_ids, det_xy, gt_ids, gt_xy, dims, thresholds=AP_THRESH
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return float(ap)
-
-
-def mean_average_precision(frames, dims, thresholds=AP_THRESHOLDS_PX):
-    """Mean per-frame AP.  frames yields (det_ids, det_xy, gt_ids, gt_xy)."""
-    aps = [average_precision(d_ids, d_xy, g_ids, g_xy, dims, thresholds)
-           for d_ids, d_xy, g_ids, g_xy in frames]
-    if not aps:
-        raise NoSamples("no frames to average")
-    return float(np.mean(aps))

@@ -77,15 +77,6 @@ class AffineSimilarity:
         out = P @ self.linear.T + self.translation
         return out[0] if single else out
 
-    def compose(self, other):
-        """self after other: (self.compose(other)).transform(x) == self.transform(other.transform(x))."""
-        return AffineSimilarity(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.a * other.tx - self.b * other.ty + self.tx,
-            self.b * other.tx + self.a * other.ty + self.ty,
-        )
-
     def inverse(self):
         s2 = self.a * self.a + self.b * self.b
         ia, ib = self.a / s2, -self.b / s2
@@ -165,16 +156,6 @@ def _fit_pair(r1, r2):
     return _from_centred_sums(
         2, 0.5 * (dx * dx + dy * dy), 0.5 * (dx * ex + dy * ey), 0.5 * (dx * ey - dy * ex),
         (0.5 * (x1 + x2), 0.5 * (y1 + y2)), (0.5 * (u1 + u2), 0.5 * (v1 + v2)))
-
-
-def fit_similarity(prev_pts, curr_pts):
-    """Least-squares AffineSimilarity mapping prev_pts onto curr_pts.
-
-    Closed form from centred sums; needs >= 2 pairs and at least 2 distinct
-    source points.  Raises InsufficientPoints / DegenerateConfiguration.
-    """
-    prev_pts, curr_pts = _check_pairs(prev_pts, curr_pts)
-    return _similarity(_fit(np.concatenate([prev_pts, curr_pts], axis=1)))
 
 
 def _median(x):

@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrix,
     UnknownKeypointId,
 )
-from .geometry import EPS_DET, RansacParams, apply_homography, check_seed, ransac_homography
+from .geometry import EPS_DET, RansacParams, check_seed, ransac_homography
 from .homography_filter import (
     MAX_INNOVATION_CONDITION,
     ekf_init,
@@ -31,7 +31,6 @@ from .homography_filter import (
 )
 from .keypoint_filter import (
     init_keypoint_state,
-    init_keypoint_state_from_positions,
     lkf_predict,
     lkf_update,
 )
@@ -62,7 +61,6 @@ class FilterOptions:
     motion_source: str = MOTION_SOURCES[0]
     ransac: RansacParams = dc_field(default_factory=RansacParams)
     ekf_active_set: str = ACTIVE_SETS[0]
-    init_all_from_homography: bool = False
     max_condition: float = MAX_INNOVATION_CONDITION
     seed: int = 0
 
@@ -165,12 +163,7 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
                 yield FrameEstimate(frame.frame_index, None, np.empty(0, dtype=int),
                                     np.empty((0, 2)), tuple(flags + ["pre_init"]))
                 continue
-            if options.init_all_from_homography:
-                projected = apply_homography(reconstruct_homography(h_state),
-                                             template.positions)
-                kp_state = init_keypoint_state_from_positions(projected, kp_noise)
-            else:
-                kp_state = init_keypoint_state(template.n)
+            kp_state = init_keypoint_state(template.n)
             kp_state = lkf_update(kp_state, meas, kp_noise)
             yield _emit(frame.frame_index, h_state, kp_state, flags + ["init"])
             continue

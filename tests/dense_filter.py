@@ -9,7 +9,10 @@ update in the state dimension); the tests check that they agree.
 
 The functions take and return the same things as their fieldreg namesakes,
 except that keypoint states are DenseKeypointState, so they can stand in for
-them inside fieldreg.pipeline.iter_filter.
+them inside fieldreg.pipeline.iter_filter.  predict_measurements has no
+namesake: it maps the active keypoints through apply_homography, apart from
+(and so independently of) the projection code in fieldreg.homography_filter
+that the tests check.
 """
 
 from dataclasses import dataclass, replace
@@ -24,12 +27,11 @@ from fieldreg.errors import (
     SingularInnovation,
     UnknownKeypointId,
 )
-from fieldreg.geometry import RansacParams, homography_params, ransac_homography
+from fieldreg.geometry import RansacParams, apply_homography, homography_params, ransac_homography
 from fieldreg.homography_filter import (
     MAX_INNOVATION_CONDITION,
     HomographyFilterState,
     measurement_jacobian,
-    predict_measurements,
     reconstruct_homography,
 )
 
@@ -73,13 +75,6 @@ def _coord_idx(ids):
 def init_keypoint_state(n):
     return DenseKeypointState(np.zeros(2 * n), np.zeros((2 * n, 2 * n)),
                               np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
-
-
-def init_keypoint_state_from_positions(positions, noise):
-    pos = np.asarray(positions, dtype=float)
-    n = noise.n
-    return DenseKeypointState(pos.ravel().copy(), block_diag(noise.measurement),
-                              np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
 
 
 def lkf_predict(state, motion, noise):
@@ -162,6 +157,11 @@ def ekf_init(frame, template, bank, ransac=RansacParams()):
     return HomographyFilterState(h_mean=homography_params(H0), cov=bank.init_homography.copy())
 
 
+def predict_measurements(state, active_idx, template):
+    """Projected pixel positions (K, 2) of the active template keypoints."""
+    return apply_homography(reconstruct_homography(state), template.positions[active_idx])
+
+
 def ekf_predict(state, motion, bank):
     H_new = motion.as_matrix() @ reconstruct_homography(state)
     F = _transition_matrix(motion)
@@ -204,7 +204,6 @@ def ekf_update(state, kp_state, active_idx, template, max_condition=MAX_INNOVATI
 # Names iter_filter looks up in fieldreg.pipeline, mapped to their dense forms.
 PIPELINE_NAMES = {
     "init_keypoint_state": init_keypoint_state,
-    "init_keypoint_state_from_positions": init_keypoint_state_from_positions,
     "lkf_predict": lkf_predict,
     "lkf_update": lkf_update,
     "ekf_init": ekf_init,

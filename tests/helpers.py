@@ -10,7 +10,8 @@ import pytest
 
 import fieldreg
 from fieldreg import CovarianceBank, ImageDims, standard_soccer_template
-from fieldreg.geometry import dlt_homography
+from fieldreg.errors import PointAtInfinity
+from fieldreg.geometry import EPS_T, dlt_homography
 from numpy_polygons import ensure_ccw
 
 TEMPLATE = standard_soccer_template()
@@ -82,6 +83,20 @@ def points_in_convex_polygon(points, vertices):
     rel_y = P[:, None, 1] - v[None, :, 1]
     cross = e[None, :, 0] * rel_y - e[None, :, 1] * rel_x
     return np.all(cross >= 0.0, axis=1)
+
+
+def normalize_homogeneous(point):
+    """Euclidean image (x/t, y/t) of a homogeneous vector (x, y, t).
+
+    Raises PointAtInfinity when |t| <= EPS_T.
+    """
+    p = np.asarray(point, dtype=float)
+    if p.shape != (3,):
+        raise ValueError(f"expected a homogeneous (x, y, t) vector, got shape {p.shape}")
+    t = p[2]
+    if abs(t) <= EPS_T:
+        raise PointAtInfinity(f"homogeneous scale {t} has magnitude <= {EPS_T}")
+    return p[:2] / t
 
 
 def fd_jacobian(f, x, step=1e-6):

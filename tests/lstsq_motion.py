@@ -3,13 +3,23 @@
 fieldreg.motion fits every similarity in closed form from centred sums.
 These are the earlier forms, which solve the stacked 2M x 4 linear system
 with np.linalg.lstsq; the tests check that both give the same inlier masks
-and parameters.  Same arguments and results as their fieldreg namesakes.
+and parameters.  estimate_global_motion takes the same arguments and gives
+the same results as its fieldreg namesake.  fit_similarity is the lstsq form
+of the final refit in fieldreg.motion, which closed_form_fit calls.
 """
 
 import numpy as np
 
+from fieldreg import motion
 from fieldreg.errors import DegenerateConfiguration, InsufficientPoints, NoConsensus
 from fieldreg.motion import MAD_MULTIPLIER, AffineSimilarity
+
+
+def closed_form_fit(prev_pts, curr_pts):
+    """fieldreg.motion's least-squares similarity from centred sums, as
+    estimate_global_motion refits its consensus; raises as fit_similarity."""
+    prev_pts, curr_pts = motion._check_pairs(prev_pts, curr_pts)
+    return motion._similarity(motion._fit(np.concatenate([prev_pts, curr_pts], axis=1)))
 
 
 def fit_similarity(prev_pts, curr_pts):

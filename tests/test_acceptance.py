@@ -35,7 +35,6 @@ from fieldreg.geometry import (
     homography_from_params,
     homography_params,
     invert_homography,
-    normalize_homogeneous,
     normalize_homography,
     ransac_homography,
 )
@@ -45,7 +44,6 @@ from fieldreg.homography_filter import (
     ekf_predict,
     ekf_update,
     measurement_jacobian,
-    predict_measurements,
     reconstruct_homography,
 )
 from fieldreg.keypoint_filter import init_keypoint_state, lkf_predict, lkf_update
@@ -63,11 +61,12 @@ from fieldreg.motion import AffineSimilarity
 from fieldreg.pipeline import run_filter, run_ransac_baseline
 from fieldreg.seqio import read_report
 from fieldreg.simulator import SimConfig, SimNoise, generate_sequence, pan_motion_script
-from dense_filter import block_diag
+from dense_filter import block_diag, predict_measurements
 from helpers import (
     DIMS,
     TEMPLATE,
     fd_jacobian,
+    normalize_homogeneous,
     pooled_bank,
     random_homography,
     view_homography,

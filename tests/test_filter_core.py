@@ -59,21 +59,19 @@ def run_structured_and_dense(frames, options, monkeypatch):
     return structured, reference
 
 
-@pytest.mark.parametrize("motion_source, active_set, init_all, max_condition, seed", [
-    ("provided", "measured_now", False, 1e12, 11),
-    ("estimate", "measured_now", False, 1e12, 12),
-    ("provided", "measured_ever", False, 1e12, 13),
-    ("provided", "measured_now", True, 1e12, 14),
-    ("estimate", "measured_ever", True, 1e12, 15),
+@pytest.mark.parametrize("motion_source, active_set, max_condition, seed", [
+    ("provided", "measured_now", 1e12, 11),
+    ("estimate", "measured_now", 1e12, 12),
+    ("provided", "measured_ever", 1e12, 13),
+    ("estimate", "measured_ever", 1e12, 15),
     # a condition cap inside this sequence's range (about 7e5 to 1e7) makes
     # both cores skip the same homography updates
-    ("provided", "measured_now", False, 2e6, 16),
+    ("provided", "measured_now", 2e6, 16),
 ])
-def test_iter_filter_matches_dense_reference(motion_source, active_set, init_all,
-                                             max_condition, seed, monkeypatch):
+def test_iter_filter_matches_dense_reference(motion_source, active_set, max_condition, seed,
+                                             monkeypatch):
     frames = noisy_frames(150, seed, with_flow=motion_source == "estimate")
     options = FilterOptions(motion_source=motion_source, ekf_active_set=active_set,
-                            init_all_from_homography=init_all,
                             max_condition=max_condition, seed=seed)
     structured, reference = run_structured_and_dense(frames, options, monkeypatch)
     assert len(structured) == len(reference) == len(frames)

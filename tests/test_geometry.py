@@ -28,7 +28,6 @@ from fieldreg.geometry import (
     homography_from_params,
     homography_params,
     invert_homography,
-    normalize_homogeneous,
     normalize_homography,
     polygon_area,
     ransac_homography,
@@ -77,7 +76,7 @@ def test_point_at_infinity_raises():
     with pytest.raises(PointAtInfinity):
         apply_homography(H, np.array([0.0, 5.0]))  # denominator exactly 0
     with pytest.raises(PointAtInfinity):
-        normalize_homogeneous(np.array([1.0, 1.0, 1e-15]))
+        apply_homography(H, np.array([1e-15, 5.0]))  # nonzero, below EPS_T
 
 
 def test_homography_denominators():

@@ -19,13 +19,12 @@ from fieldreg.homography_filter import (
     ekf_predict,
     ekf_update,
     measurement_jacobian,
-    predict_measurements,
     reconstruct_homography,
 )
 from fieldreg.keypoint_filter import KeypointFilterState, MeasurementFrame
 from fieldreg.motion import AffineSimilarity
 import dense_filter as dense
-from dense_filter import block_diag
+from dense_filter import block_diag, predict_measurements
 from helpers import TEMPLATE, fd_jacobian, pooled_bank, view_homography
 
 
@@ -109,9 +108,10 @@ def test_predict_covariance_oracle():
 
 
 def test_predicted_measurements_are_projections():
+    # the projections the update subtracts from its measurements
     state, H = init_state()
     active = np.array([0, 5, 17, 30])
-    pred = predict_measurements(state, active, TEMPLATE)
+    pred, _ = homography_filter._jacobian_terms(state, active, TEMPLATE)
     expect = apply_homography(reconstruct_homography(state), TEMPLATE.positions[active])
     assert np.allclose(pred, expect, atol=1e-12)
 
@@ -214,8 +214,6 @@ def test_denominator_degeneracy_raises():
     h[5] = 0.0
     bad = HomographyFilterState(h_mean=h, cov=state.cov)
     with pytest.raises(NumericalDegeneracy):
-        predict_measurements(bad, np.array([1]), TEMPLATE)
-    with pytest.raises(NumericalDegeneracy):
         measurement_jacobian(bad, np.array([1]), TEMPLATE)
 
 
@@ -284,8 +282,6 @@ def test_out_of_range_active_index_raises(bad):
     active = np.array([0, TEMPLATE.n if bad == "n" else bad])
     with pytest.raises(UnknownKeypointId):
         ekf_update(state, kp, active, TEMPLATE)
-    with pytest.raises(UnknownKeypointId):
-        predict_measurements(state, active, TEMPLATE)
     with pytest.raises(UnknownKeypointId):
         measurement_jacobian(state, active, TEMPLATE)
 

@@ -9,7 +9,6 @@ from fieldreg.keypoint_filter import (
     MeasurementFrame,
     NoiseConfig,
     init_keypoint_state,
-    init_keypoint_state_from_positions,
     lkf_predict,
     lkf_update,
 )
@@ -180,19 +179,6 @@ def test_singular_innovation_raises():
         lkf_update(state, MeasurementFrame(1, np.array([0]), np.array([[1.0, 1.0]])), zero)
 
 
-def test_init_from_positions():
-    rng = np.random.default_rng(5)
-    noise = random_noise(rng, 4)
-    pos = rng.uniform(0, 100, size=(4, 2))
-    state = init_keypoint_state_from_positions(pos, noise)
-    assert np.array_equal(state.keypoint_means(), pos)
-    for j in range(4):
-        assert np.array_equal(block_diag(state.cov)[2 * j:2 * j + 2, 2 * j:2 * j + 2],
-                              noise.measurement[j])
-    assert state.measured_ever.all()
-    assert not state.measured_now.any()
-
-
 def test_input_validation():
     rng = np.random.default_rng(6)
     noise = random_noise(rng, 3)
@@ -210,14 +196,6 @@ def test_input_validation():
         KeypointFilterState(mean=np.zeros(4), cov=np.zeros((2, 2, 2)),
                             measured_ever=np.zeros(3, dtype=bool),
                             measured_now=np.zeros(3, dtype=bool))
-
-
-def test_from_pairs():
-    frame = MeasurementFrame.from_pairs(7, [(3, (1.0, 2.0)), (0, (5.0, 6.0))])
-    assert frame.frame_index == 7
-    assert frame.ids.tolist() == [3, 0]
-    assert frame.positions.tolist() == [[1.0, 2.0], [5.0, 6.0]]
-    assert frame.k == 2
 
 
 def test_indefinite_innovation_block_raises():

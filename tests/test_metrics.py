@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fieldreg.errors import DegenerateProjection, NoMatchedKeypoints, NoSamples
+from fieldreg.errors import DegenerateProjection, NoMatchedKeypoints
 from fieldreg.field import ImageDims
 from fieldreg.geometry import (
     clip_polygon,
@@ -19,7 +19,6 @@ from fieldreg.metrics import (
     iou_entire,
     iou_entire_image,
     iou_part,
-    mean_average_precision,
     nrmse,
     precision_recall,
     projection_error,
@@ -339,17 +338,6 @@ def test_average_precision_hand_examples():
     det = (np.array([0]), np.array([[500.0, 500.0]]))
     ap = average_precision(det[0], det[1], gt[0], gt[1], DIMS)
     assert ap == 0.0
-
-
-def test_mean_average_precision():
-    gt = (np.array([0]), np.array([[100.0, 100.0]]))
-    perfect = (np.array([0]), np.array([[100.0, 100.0]]))
-    miss = (np.array([0]), np.array([[500.0, 500.0]]))
-    frames = [(perfect[0], perfect[1], gt[0], gt[1]),
-              (miss[0], miss[1], gt[0], gt[1])]
-    assert mean_average_precision(frames, DIMS) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(NoSamples):
-        mean_average_precision([], DIMS)
 
 
 DATA = pathlib.Path(__file__).parent / "data"

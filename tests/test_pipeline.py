@@ -589,6 +589,9 @@ def test_cli_error_paths(tmp_path, capsys):
         cli_main(["simulate", "--output", str(tmp_path / "s.jsonl"),
                   "--noise", "bogus"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:         # tracks start only from detections
+        cli_main(["filter", "--init-from-homography", "--input", missing, "--output", out])
+    assert exc.value.code == 2
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("[]")
     assert cli_main(["simulate", "--output", out, "--config", str(bad_cfg)]) == 1
@@ -629,8 +632,7 @@ def test_cli_error_paths(tmp_path, capsys):
             ("simulate", '{"initial_homography": [[1, 0, 0], [0, 1, 0], [0, 0, Infinity]], '
                          '"frames": 3}', "non-finite entries in initial_homography"),
             ("filter", '{"max_condition": null}', "max_condition must be a number"),
-            ("filter", '{"init_from_homography": "false"}',
-             "init_from_homography must be true or false"),
+            ("filter", '{"init_from_homography": true}', "unknown key 'init_from_homography'"),
             ("evaluate", '{"projection_samples": 0}', "projection_samples must be at least 1"),
             *((verb, '{"seed": -1}', "seed must be at least 0, got -1") for verb in inputs)):
         bad_cfg.write_text(text)
@@ -814,11 +816,13 @@ def test_bank_matrices_must_be_finite(tmp_path, capsys, at):
 @pytest.mark.parametrize("at, value, message", [
     # every keypoint has its own block in the golden bank, so the pooled
     # keypoint_process is unused, and it is checked all the same
-    (("keypoint_process", "pooled", 0, 1), 1.0, "keypoint_process_pooled must be symmetric"),
+    (("keypoint_process", "pooled", 0, 1), 1.0, "keypoint_process pooled must be symmetric"),
     (("homography_process", 0, 1), 1.0, "homography_process must be symmetric"),
     (("init_homography", 2, 2), -1.0, "init_homography must have nonnegative diagonals"),
     (("measurement", "per_id", "0", 1, 1), -1.0,
-     "measurement per_id must have nonnegative diagonals"),
+     "measurement per_id 0 must have nonnegative diagonals"),
+    # a bad block is named by its id, wherever it sits among the valid ones
+    (("keypoint_process", "per_id", "5", 0, 1), 1.0, "keypoint_process per_id 5 must be symmetric"),
 ])
 def test_bank_covariances_are_checked_on_read(tmp_path, capsys, at, value, message):
     doc = json.loads((GOLDEN / "golden_bank.json").read_text())
