@@ -10,9 +10,14 @@ product A H, whose last-row structure leaves (h31, h32) bitwise unchanged.
 The update step treats the first-stage filter's posterior keypoint means as
 the measurement and its posterior covariance sub-block as the measurement
 noise, so the two stages stay probabilistically coupled.
+
+A caller's HomographyFilterState is checked when it is built.  The states
+the steps return are built by _built_state, without those checks: each step
+makes new float64 arrays of the checked shapes, so the checks could only
+repeat themselves, and on small K they cost as much as the arithmetic.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .motion import AffineSimilarity
 
 MAX_INNOVATION_CONDITION = 1e12
 _EPS = np.finfo(float).eps
+_I8 = np.eye(8)
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,14 @@ class HomographyFilterState:
         if self.h_mean.shape != (8,) or self.cov.shape != (8, 8):
             raise DimensionMismatch(
                 f"inconsistent state shapes: h {self.h_mean.shape}, cov {self.cov.shape}")
+
+
+def _built_state(h_mean, cov):
+    """A HomographyFilterState over a new (8,) mean and (8, 8) covariance of
+    float64, made without __post_init__'s conversions and checks."""
+    state = object.__new__(HomographyFilterState)
+    state.__dict__.update(h_mean=h_mean, cov=cov)
+    return state
 
 
 def reconstruct_homography(state):
@@ -85,9 +99,9 @@ def ekf_init(frame, template, bank, ransac=RansacParams()):
     return HomographyFilterState(h_mean=homography_params(H0), cov=bank.init_homography.copy())
 
 
-def _transition_matrix(motion):
-    # Exact linearization of h -> vec8(A H): the affine map acts per column.
-    A3 = motion.as_matrix()
+def _transition_matrix(A3):
+    # Exact linearization of h -> vec8(A H), with A3 the motion's 3x3 matrix:
+    # the affine map acts per column.
     F = np.zeros((8, 8))
     F[0:3, 0:3] = A3
     F[3:6, 3:6] = A3
@@ -105,11 +119,12 @@ def ekf_predict(state, motion, bank):
     """
     if not isinstance(motion, AffineSimilarity):
         raise TypeError(f"motion must be an AffineSimilarity, got {type(motion)!r}")
-    H_new = motion.as_matrix() @ reconstruct_homography(state)
-    F = _transition_matrix(motion)
+    A3 = motion.as_matrix()
+    H_new = A3 @ reconstruct_homography(state)
+    F = _transition_matrix(A3)
     cov = F @ state.cov @ F.T
     cov += bank.homography_process
-    return replace(state, h_mean=homography_params(H_new), cov=0.5 * (cov + cov.T))
+    return _built_state(homography_params(H_new), 0.5 * (cov + cov.T))
 
 
 def _projection_terms(state, active_idx, template):
@@ -118,7 +133,7 @@ def _projection_terms(state, active_idx, template):
     pts = template.positions[active_idx]
     X, Y = pts[:, 0], pts[:, 1]
     D = h[2] * X + h[5] * Y + 1.0
-    if np.any(np.abs(D) <= EPS_T):
+    if (np.abs(D) <= EPS_T).any():
         raise NumericalDegeneracy("projective denominator vanished at a field keypoint")
     # rows (h11, h21), (h12, h22), (h13, h23): u and v in one pass
     uv = (h[0:2, None] * X + h[3:5, None] * Y + h[6:8, None]) / D
@@ -206,7 +221,7 @@ def _information_update(P, J, R_blocks, nu, max_condition):
     is too.  Otherwise _exact_gate decides.  Non-finite input and an R block
     that is not positive definite raise as well.
     """
-    if not all(np.isfinite(x).all() for x in (R_blocks, J, P)):
+    if not (np.isfinite(R_blocks).all() and np.isfinite(J).all() and np.isfinite(P).all()):
         raise SingularInnovation("innovation covariance is not finite")
     a, c = R_blocks[:, 0, 0], R_blocks[:, 1, 1]
     b = 0.5 * (R_blocks[:, 0, 1] + R_blocks[:, 1, 0])
@@ -224,20 +239,29 @@ def _information_update(P, J, R_blocks, nu, max_condition):
     if not ratio * (1.0 + 1e-6 + 16 * nu.size * _EPS * ratio) <= max_condition:
         _exact_gate(P, J, R_blocks, max_condition)
 
-    # whiten [J C | nu] by the closed-form Cholesky factor of each block
+    # whiten [J C | nu] by the closed-form Cholesky factor of each block, in
+    # place: Z holds every block's u row, then every block's v row
     l00 = np.sqrt(a)[:, None]
     l10 = b[:, None] / l00
     l11 = np.sqrt(det / a)[:, None]
     L = C.shape[0]
-    Z = np.column_stack([JC, nu]).reshape(-1, 2, L + 1)
-    Z0 = Z[:, 0] / l00
-    Z = np.concatenate([Z0, (Z[:, 1] - l10 * Z0) / l11])
+    Z = np.empty((2, a.size, L + 1))
+    Z[:, :, :L] = JC.reshape(-1, 2, L).transpose(1, 0, 2)
+    Z[:, :, L] = nu.reshape(-1, 2).T
+    Zu, Zv = Z
+    Zu /= l00
+    Zv -= l10 * Zu
+    Zv /= l11
+    Z = Z.reshape(-1, L + 1)
     M = Z.T @ Z                         # [[(W C)^T W C, (W C)^T w], [., w^T w]]
     try:
-        L_T = np.linalg.cholesky(M[:L, :L] + np.eye(L))
+        L_T = np.linalg.cholesky(M[:L, :L] + _I8)
     except np.linalg.LinAlgError:     # only on overflow: T >= I
         raise SingularInnovation("information matrix is not finite") from None
-    Y = np.linalg.solve(L_T, np.column_stack([C.T, M[:L, L]]))
+    rhs = np.empty((L, L + 1))          # [C^T | (W C)^T w]
+    rhs[:, :L] = C.T
+    rhs[:, L] = M[:L, L]
+    Y = np.linalg.solve(L_T, rhs)
     Bt = Y[:, :-1]                      # B^T = L_T^-1 C^T
     cov = Bt.T @ Bt
     return Bt.T @ Y[:, -1], 0.5 * (cov + cov.T)
@@ -272,7 +296,7 @@ def ekf_update(state, kp_state, active_idx, template, max_condition=MAX_INNOVATI
     if kp_state.n != n:
         raise DimensionMismatch(f"keypoint state has {kp_state.n} keypoints, template has {n}")
     _check_active(active_idx, n)
-    if not np.all(kp_state.measured_ever[active_idx]):
+    if not kp_state.measured_ever[active_idx].all():
         raise ValueError("active keypoint was never measured; it has no estimate to fuse")
 
     pred, J = _jacobian_terms(state, active_idx, template)
@@ -280,4 +304,4 @@ def ekf_update(state, kp_state, active_idx, template, max_condition=MAX_INNOVATI
     R_blocks = kp_state.cov[active_idx]
 
     dx, cov = _information_update(state.cov, J, R_blocks, nu, max_condition)
-    return replace(state, h_mean=state.h_mean + dx, cov=cov)
+    return _built_state(state.h_mean + dx, cov)

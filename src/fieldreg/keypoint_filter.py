@@ -8,9 +8,15 @@ keypoints and the noise is per keypoint.  So the covariance is kept as its
 (N, 2, 2) diagonal blocks, and every step is closed-form 2x2 algebra over
 the stack.  Keypoints never seen yet are masked out via measured_ever; their
 blocks are initialized directly from the first observation.
+
+A caller's KeypointFilterState is checked when it is built.  The states the
+steps return are built by _built_state, without those checks: each step
+makes new arrays of the checked dtypes and shapes, so the checks could only
+repeat themselves, and on a few keypoints they cost as much as the
+arithmetic.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +26,11 @@ from .errors import (
     UnknownKeypointId,
 )
 from .motion import AffineSimilarity
+
+_I2 = np.eye(2)
+# adj([[a, b], [c, d]]) = [[d, -b], [-c, a]]: the block flipped on both axes
+# and transposed, times these signs
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,16 @@ class KeypointFilterState:
         return self.mean.reshape(-1, 2)
 
 
+def _built_state(mean, cov, measured_ever, measured_now):
+    """A KeypointFilterState over new arrays of the checked dtypes and shapes
+    ((2N,) and (N, 2, 2) float64, two (N,) bool), made without
+    __post_init__'s conversions and checks."""
+    state = object.__new__(KeypointFilterState)
+    state.__dict__.update(mean=mean, cov=cov, measured_ever=measured_ever,
+                          measured_now=measured_now)
+    return state
+
+
 def init_keypoint_state(n):
     """Empty state: nothing measured, zero mean and covariance."""
     return KeypointFilterState(
@@ -149,9 +170,7 @@ def lkf_predict(state, motion, noise):
     A = motion.linear
     mean = (state.keypoint_means() @ A.T + motion.translation).ravel()
     cov = _symmetric(A @ state.cov @ A.T + noise.process)
-    return replace(state, mean=mean, cov=cov,
-                   measured_ever=state.measured_ever.copy(),
-                   measured_now=state.measured_now.copy())
+    return _built_state(mean, cov, state.measured_ever.copy(), state.measured_now.copy())
 
 
 def lkf_update(state, frame, noise):
@@ -179,8 +198,8 @@ def lkf_update(state, frame, noise):
     measured_now[ids] = True
     measured_ever = state.measured_ever | measured_now
 
-    new = ~state.measured_ever[ids]
-    known = ids[~new]
+    seen = state.measured_ever[ids]
+    known = ids[seen]
     mean = state.keypoint_means().copy()
     cov = state.cov.copy()
 
@@ -190,17 +209,19 @@ def lkf_update(state, frame, noise):
         S = P + R
         a, b, c, d = S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1]
         det = a * d - b * c
-        if not (np.all(a > 0) and np.all(det > 0)):
+        if not (np.minimum(a, det) > 0).all():
             raise SingularInnovation("innovation covariance is not positive definite")
-        S_inv = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2) / det[:, None, None]
+        S_inv = S[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJ_SIGNS / det[:, None, None]
         K = P @ S_inv
-        innovation = frame.positions[~new] - mean[known]
-        mean[known] += (K @ innovation[:, :, None])[:, :, 0]
-        IK = np.eye(2) - K
+        prior = mean[known]
+        innovation = frame.positions[seen] - prior
+        mean[known] = prior + (K @ innovation[:, :, None])[:, :, 0]
+        IK = _I2 - K
         cov[known] = (IK @ P @ IK.transpose(0, 2, 1)
                       + K @ R @ K.transpose(0, 2, 1))
 
-    mean[ids[new]] = frame.positions[new]
-    cov[ids[new]] = noise.measurement[ids[new]]
-    return replace(state, mean=mean.ravel(), cov=_symmetric(cov),
-                   measured_ever=measured_ever, measured_now=measured_now)
+    new = ~seen
+    first = ids[new]
+    mean[first] = frame.positions[new]
+    cov[first] = noise.measurement[first]
+    return _built_state(mean.ravel(), _symmetric(cov), measured_ever, measured_now)

@@ -3,7 +3,7 @@ and evaluation.  These are the verbs the CLI exposes; each one is usable as a
 plain function on in-memory objects."""
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .homography_filter import (
     ekf_init,
     ekf_predict,
     ekf_update,
-    reconstruct_homography,
 )
 from .keypoint_filter import (
     init_keypoint_state,
@@ -108,14 +107,17 @@ def _resolve_motion(frame, options):
 
 
 def _emit(frame_index, h_state, kp_state, flags):
-    H = reconstruct_homography(h_state)
-    (a, b, c), (d, e, f), (g, h, i) = H.tolist()
+    # H's entries from the column-stacked parameters, with h33 = 1
+    a, d, g, b, e, h, c, f = h_state.h_mean.tolist()
+    i = 1.0
     # closed-form determinant; a non-finite entry makes it non-finite
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if not (math.isfinite(det) and abs(det) > EPS_DET):
+    if math.isfinite(det) and abs(det) > EPS_DET:
+        H = np.array([[a, b, c], [d, e, f], [g, h, i]])
+    else:
         H = None
         flags = flags + ["degenerate_estimate"]
-    ids = np.flatnonzero(kp_state.measured_now)
+    ids = kp_state.measured_now.nonzero()[0]
     return FrameEstimate(
         frame_index=frame_index,
         homography=H,
@@ -132,7 +134,8 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
     robust fit succeeds; earlier frames (and failed-init frames) yield
     pre_init estimates with no homography.  Per steady-state frame: resolve
     motion, keypoint predict + update, homography predict + update over the
-    active set, emit.  Update failures are flagged and skipped, never fatal.
+    active set, emit.  Update failures are flagged and skipped, never fatal;
+    a skipped keypoint update leaves no keypoint measured this frame.
     State memory is flat in sequence length.  The keypoint stage is linear
     in keypoint count.  The bank, checked when it was built, is the only
     noise: its blocks in template order for the keypoint stage, its 8x8
@@ -175,8 +178,10 @@ def iter_filter(frames, template, bank, options=FilterOptions()):
             kp_state = lkf_update(kp_state, meas, kp_noise)
         except SingularInnovation:
             flags.append("keypoint_update_skipped")
+            # no measurement was fused this frame
+            kp_state = replace(kp_state, measured_now=np.zeros(template.n, dtype=bool))
         h_state = ekf_predict(h_state, motion, bank)
-        active = np.flatnonzero(getattr(kp_state, options.ekf_active_set))
+        active = getattr(kp_state, options.ekf_active_set).nonzero()[0]
         if active.size:
             try:
                 h_state = ekf_update(h_state, kp_state, active, template,

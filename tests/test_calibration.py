@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fieldreg.calibration import (
-    CovarianceBank,
     TrainingRecord,
     calibrate_bank,
     estimate_homography_process_cov,
@@ -14,7 +13,7 @@ from fieldreg.calibration import (
     repair_psd,
 )
 from fieldreg.errors import NoSamples
-from fieldreg.geometry import apply_homography, homography_params
+from fieldreg.geometry import apply_homography
 from fieldreg.motion import AffineSimilarity
 from helpers import TEMPLATE, view_homography
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dense_filter as dense
-from fieldreg import homography_filter, pipeline
+from fieldreg import homography_filter, keypoint_filter, pipeline
 from fieldreg.defaults import (
     DEFAULT_HOMOGRAPHY_PROCESS,
     DEFAULT_MEASUREMENT,
@@ -172,3 +172,62 @@ def test_static_field_cov_stays_compact_and_matches_dense_block(monkeypatch):
         rel = np.linalg.norm(c - r) / np.linalg.norm(r)
         assert rel <= HOMOGRAPHY_RTOL, f"step {step}: {rel:.3e}"
         assert np.all(np.diag(c) > 0.0)
+
+
+def arrays_in(obj):
+    """Every ndarray reachable from obj through containers and attributes."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for v in obj for a in arrays_in(v)]
+    if isinstance(obj, dict):
+        return arrays_in(list(obj.values()))
+    return arrays_in(vars(obj)) if hasattr(obj, "__dict__") else []
+
+
+def step_calls():
+    """name -> (step, args) for the four per-frame steps, on the states of a
+    noisy run at its second frame; lkf_update fuses seen and new keypoints."""
+    frames = noisy_frames(2, 41, with_flow=False)
+    bank = default_covariance_bank()
+    noise = bank.noise_for(TEMPLATE)
+    meas0, meas1 = frames[0].measurements, frames[1].measurements
+    assert np.setdiff1d(meas1.ids, meas0.ids).size and np.intersect1d(meas0.ids, meas1.ids).size
+    motion = frames[1].motion
+    h = homography_filter.ekf_init(meas0, TEMPLATE, bank)
+    kp = keypoint_filter.lkf_update(keypoint_filter.init_keypoint_state(TEMPLATE.n), meas0, noise)
+    kp_pred = keypoint_filter.lkf_predict(kp, motion, noise)
+    kp_post = keypoint_filter.lkf_update(kp_pred, meas1, noise)
+    h_pred = homography_filter.ekf_predict(h, motion, bank)
+    return {
+        "lkf_predict": (keypoint_filter.lkf_predict, (kp, motion, noise)),
+        "lkf_update": (keypoint_filter.lkf_update, (kp_pred, meas1, noise)),
+        "ekf_predict": (homography_filter.ekf_predict, (h, motion, bank)),
+        "ekf_update": (homography_filter.ekf_update,
+                       (h_pred, kp_post, kp_post.measured_now.nonzero()[0], TEMPLATE)),
+    }
+
+
+@pytest.mark.parametrize("name", ["lkf_predict", "lkf_update", "ekf_predict", "ekf_update"])
+def test_step_returns_new_checked_arrays_and_leaves_inputs_alone(name):
+    step, args = step_calls()[name]
+    inputs = arrays_in(args)
+    before = [(a.dtype, a.shape, a.tobytes()) for a in inputs]
+    out = step(*args)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in inputs] == before
+    prior = args[0]
+    assert type(out) is type(prior)
+    fields = dict(vars(out))
+    # the public constructor accepts the result and its conversions change nothing
+    rebuilt = type(out)(**fields)
+    for key, value in fields.items():
+        assert type(value) is np.ndarray, key
+        assert value.dtype == (bool if key.startswith("measured") else np.float64), key
+        assert value.shape == getattr(prior, key).shape, key
+        assert getattr(rebuilt, key).tobytes() == value.tobytes(), key
+        assert not any(np.shares_memory(value, a) for a in inputs), key
+
+
+def test_empty_active_set_returns_the_input_state():
+    _, (h, kp, _, template) = step_calls()["ekf_update"]
+    assert homography_filter.ekf_update(h, kp, np.empty(0, dtype=int), template) is h

@@ -11,7 +11,7 @@ from fieldreg.errors import (
     SingularInnovation,
     UnknownKeypointId,
 )
-from fieldreg.geometry import apply_homography, homography_params
+from fieldreg.geometry import apply_homography
 from fieldreg.homography_filter import (
     HomographyFilterState,
     _transition_matrix,
@@ -52,7 +52,7 @@ def full_kp_state(rng, state, meas_cov_scale=1.0):
 def test_transition_matrix_blocks():
     m = AffineSimilarity(a=1.1, b=-0.2, tx=3.0, ty=4.0)
     A3 = m.as_matrix()
-    F = _transition_matrix(m)
+    F = _transition_matrix(m.as_matrix())
     assert np.array_equal(F[0:3, 0:3], A3)
     assert np.array_equal(F[3:6, 3:6], A3)
     assert np.array_equal(F[6:8, 6:8], A3[:2, :2])
@@ -101,7 +101,7 @@ def test_predict_covariance_oracle():
     m = AffineSimilarity(a=1.02, b=-0.03, tx=2.0, ty=-1.0)
     bank = pooled_bank()
     moved = ekf_predict(state, m, bank)
-    F = _transition_matrix(m)
+    F = _transition_matrix(m.as_matrix())
     expect = F @ state.cov @ F.T + bank.homography_process
     assert moved.cov.shape == (8, 8)
     assert np.allclose(moved.cov, 0.5 * (expect + expect.T), atol=1e-15)

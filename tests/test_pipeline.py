@@ -1,6 +1,7 @@
 """Pipeline orchestration, file formats, and the CLI front end."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -163,6 +164,30 @@ def test_empty_frame_mid_sequence():
     assert "no_active_keypoints" in ests[3].flags
     assert ests[3].homography is not None      # predict-only frame still reports
     assert ests[3].keypoint_ids.size == 0
+
+
+def test_skipped_keypoint_update_emits_no_keypoints():
+    # zero measurement and process blocks for template index 0: once it is
+    # tracked, its innovation P + R is 0, so every later frame measuring it
+    # skips the keypoint update, and that frame's estimate lists no keypoints
+    bank = default_covariance_bank()
+    zero = {int(TEMPLATE.ids[0]): np.zeros((2, 2))}
+    bank = dataclasses.replace(bank, measurement={**bank.measurement, **zero},
+                               keypoint_process={**bank.keypoint_process, **zero})
+    H = view_homography()
+    frames = [manual_frame(t, ids, apply_homography(H, TEMPLATE.positions[ids]),
+                           motion=AffineSimilarity.identity())
+              for t, ids in enumerate([np.arange(6), np.arange(6), np.r_[0, 6:12]])]
+    # the EKF fuses nothing under measured_now; under measured_ever, the
+    # zero block of index 0 skips its update
+    for active_set, ekf_flag in (("measured_now", "no_active_keypoints"),
+                                 ("measured_ever", "homography_update_skipped")):
+        ests = run_filter(frames, TEMPLATE, bank, FilterOptions(ekf_active_set=active_set))
+        assert np.array_equal(ests[0].keypoint_ids, np.arange(6))
+        for est in ests[1:]:
+            assert est.flags == ("keypoint_update_skipped", ekf_flag)
+            assert est.keypoint_ids.size == 0 and est.keypoint_positions.shape == (0, 2)
+            assert est.homography is not None
 
 
 def test_baseline_noiseless_exact():

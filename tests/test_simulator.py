@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fieldreg.defaults import DEFAULT_INIT_HOMOGRAPHY, DEFAULT_MEASUREMENT
+from fieldreg.defaults import DEFAULT_MEASUREMENT
 from fieldreg.errors import DegenerateHomography, DimensionMismatch, EmptyVisibleRegion
 from fieldreg.geometry import apply_homography
 from fieldreg.motion import AffineSimilarity
