@@ -61,7 +61,6 @@ from .homography_filter import (
     ekf_predict,
     ekf_update,
     measurement_jacobian,
-    reconstruct_homography,
 )
 from .keypoint_filter import (
     KeypointFilterState,

@@ -7,7 +7,7 @@ a fitted mean.  Consecutive-frame pairing is by frame_index (difference of
 exactly 1) inside each sequence, never across sequences.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -149,11 +149,8 @@ def estimate_init_homography_cov(records, template, ransac=RansacParams()):
         if rec.measured_ids.size < 4:
             continue
         try:
-            H, _ = ransac_homography(
-                template.positions[rec.measured_ids], rec.measured_positions,
-                inlier_threshold_px=ransac.inlier_threshold_px,
-                max_iters=ransac.max_iters, rng_seed=ransac.seed + i,
-                confidence=ransac.confidence)
+            H, _ = ransac_homography(template.positions[rec.measured_ids], rec.measured_positions,
+                                     replace(ransac, seed=ransac.seed + i))
         except FieldRegError:
             continue
         e = homography_params(H) - homography_params(rec.gt_homography)

@@ -210,7 +210,7 @@ def _cmd_calibrate(args, config, template):
 
 def _cmd_filter(args, config, template):
     options = _options(args, config, functools.partial(FilterOptions, ransac=_ransac(args, config)),
-                       "motion_source", "max_condition", "seed", active_set="ekf_active_set")
+                       "motion_source", "max_condition", active_set="ekf_active_set")
     header, frames = read_sequence(args.input, template)
     bank = read_bank(args.bank) if args.bank else default_covariance_bank()
     estimates = run_filter(frames, template, bank, options)

@@ -56,11 +56,6 @@ def apply_homography(H, points):
     return out[0] if pts.ndim == 1 else out
 
 
-def homography_denominators(H, points):
-    """Projective denominator h31*x + h32*y + h33 for each point (no exception)."""
-    return project(np.asarray(H, dtype=float), *np.atleast_2d(np.asarray(points, dtype=float)).T)[2]
-
-
 def normalize_homography(H):
     """Rescale H so the bottom-right entry is exactly 1."""
     H = np.asarray(H, dtype=float)
@@ -275,16 +270,29 @@ def _inlier_masks(cand, valid, src, dst, thr2):
     return ((np.abs(t) > EPS_T) & (du * du + dv * dv < thr2) & valid).T
 
 
-def ransac_homography(src, dst, inlier_threshold_px=RANSAC_INLIER_THRESHOLD_PX,
-                      max_iters=RANSAC_MAX_ITERS, rng_seed=0, confidence=RANSAC_CONFIDENCE):
+def ransac_trials(inlier_frac, sample_size, confidence):
+    """Samples needed so that at least one holds only inliers with probability
+    confidence: N = log(1 - p) / log(1 - w^s) (Fischler & Bolles, CACM 1981;
+    Hartley & Zisserman, Multiple View Geometry, 4.7.1).  0 once every point
+    is an inlier, inf when w^s rounds to 0."""
+    if inlier_frac >= 1.0:
+        return 0
+    denom = np.log1p(-(inlier_frac ** sample_size))
+    if denom < 0.0:
+        return int(np.ceil(np.log(1.0 - confidence) / denom))
+    return math.inf
+
+
+def ransac_homography(src, dst, ransac=RansacParams()):
     """Robust homography from correspondences with >= some outliers.
 
     Minimal 4-point hypotheses evaluated in vectorized chunks, one-sided
-    reprojection distance (|H(src) - dst|) under inlier_threshold_px,
-    adaptive iteration count for the given consensus confidence, then a final
-    DLT refit over the best consensus set.  Returns (H, inlier_mask) with the
-    mask recomputed from the refit model.  Deterministic for a given seed:
-    sampling uses the counter-based Philox generator.
+    reprojection distance (|H(src) - dst|) under ransac.inlier_threshold_px,
+    at most ransac.max_iters of them with an adaptive stop at
+    ransac.confidence, then a final DLT refit over the best consensus set.
+    Returns (H, inlier_mask) with the mask recomputed from the refit model.
+    Deterministic for a given ransac.seed: sampling uses the counter-based
+    Philox generator.
 
     Raises InsufficientPoints (< 4 pairs) and NoConsensus (no hypothesis
     reached 4 inliers).
@@ -297,16 +305,16 @@ def ransac_homography(src, dst, inlier_threshold_px=RANSAC_INLIER_THRESHOLD_PX,
     if m < 4:
         raise InsufficientPoints(f"need at least 4 correspondences, got {m}")
 
-    rng = np.random.Generator(np.random.Philox(rng_seed))
+    rng = np.random.Generator(np.random.Philox(ransac.seed))
     best_count = 0
     best_mask = None
     best_H = None
-    needed = max_iters
+    needed = ransac.max_iters
     done = 0
     chunk = 64
-    thr2 = inlier_threshold_px ** 2
-    while done < min(max_iters, needed):
-        b = min(chunk, min(max_iters, needed) - done)
+    thr2 = ransac.inlier_threshold_px ** 2
+    while done < needed:
+        b = min(chunk, needed - done)
         chunk = 512
         samples = _draw_samples(rng, b, m)
         cand, valid = _minimal_homographies(src[samples], dst[samples])
@@ -318,13 +326,7 @@ def ransac_homography(src, dst, inlier_threshold_px=RANSAC_INLIER_THRESHOLD_PX,
             best_count = int(counts[top])
             best_mask = inliers[top]
             best_H = cand[top]
-            w = best_count / m
-            if w >= 1.0:
-                break
-            # Iterations needed so that P(at least one all-inlier sample) >= confidence.
-            denom = np.log1p(-(w ** 4))
-            if denom < 0.0:
-                needed = int(np.ceil(np.log(1.0 - confidence) / denom))
+            needed = min(ransac.max_iters, ransac_trials(best_count / m, 4, ransac.confidence))
 
     if best_count < 4 or best_H is None:
         raise NoConsensus(f"best consensus has {best_count} inliers (need >= 4)")
@@ -334,7 +336,7 @@ def ransac_homography(src, dst, inlier_threshold_px=RANSAC_INLIER_THRESHOLD_PX,
     except DegenerateConfiguration:
         return best_H, best_mask
     dist = reprojection_distances(refined, src, dst)
-    mask = dist < inlier_threshold_px
+    mask = dist < ransac.inlier_threshold_px
     if int(mask.sum()) < 4:
         return best_H, best_mask
     return refined, mask

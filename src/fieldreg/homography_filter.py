@@ -67,11 +67,6 @@ def _built_state(h_mean, cov):
     return state
 
 
-def reconstruct_homography(state):
-    """The state's homography as a 3x3 matrix with h33 = 1."""
-    return homography_from_params(state.h_mean)
-
-
 def ekf_init(frame, template, bank, ransac=RansacParams()):
     """Initialize from one frame: robust homography fit against the template.
 
@@ -88,11 +83,7 @@ def ekf_init(frame, template, bank, ransac=RansacParams()):
         raise UnknownKeypointId(
             f"keypoint index {frame.ids.max()} out of range for {template.n} keypoints")
     try:
-        H0, _ = ransac_homography(
-            template.positions[frame.ids], frame.positions,
-            inlier_threshold_px=ransac.inlier_threshold_px,
-            max_iters=ransac.max_iters, rng_seed=ransac.seed,
-            confidence=ransac.confidence)
+        H0, _ = ransac_homography(template.positions[frame.ids], frame.positions, ransac)
     except NoConsensus as e:
         raise DegenerateConfiguration(f"no RANSAC consensus at init: {e}") from e
 
@@ -120,7 +111,7 @@ def ekf_predict(state, motion, bank):
     if not isinstance(motion, AffineSimilarity):
         raise TypeError(f"motion must be an AffineSimilarity, got {type(motion)!r}")
     A3 = motion.as_matrix()
-    H_new = A3 @ reconstruct_homography(state)
+    H_new = A3 @ homography_from_params(state.h_mean)
     F = _transition_matrix(A3)
     cov = F @ state.cov @ F.T
     cov += bank.homography_process

@@ -26,7 +26,7 @@ from .geometry import (
 
 REFERENCE_WIDTH_PX = 1280.0
 REFERENCE_HEIGHT_PX = 720.0
-AP_THRESHOLDS_PX = (5.0, 10.0, 15.0, 20.0)
+AP_THRESHOLDS_PX = (5.0, 10.0, 15.0, 20.0)  # ascending
 PR_THRESHOLD_PX = 20.0
 PROJECTION_ERROR_SAMPLES = 2500
 
@@ -280,17 +280,17 @@ def precision_recall(det_ids, det_xy, gt_ids, gt_xy, dims, threshold_px=PR_THRES
     )
 
 
-def average_precision(det_ids, det_xy, gt_ids, gt_xy, dims, thresholds=AP_THRESHOLDS_PX):
-    """AP over a threshold sweep: sum of precision-weighted recall increments.
+def average_precision(det_ids, det_xy, gt_ids, gt_xy, dims):
+    """AP over the AP_THRESHOLDS_PX sweep: sum of precision-weighted recall increments.
 
-    AP = sum_n (R_n - R_{n-1}) P_n with R_0 = 0 and thresholds ascending.
+    AP = sum_n (R_n - R_{n-1}) P_n with R_0 = 0 and the thresholds ascending.
     Undefined precision or recall terms contribute zero, so a frame with no
     detections or no ground truth scores 0.0.
     """
     dists, n_det, n_gt = _reference_scaled_distances(det_ids, det_xy, gt_ids, gt_xy, dims)
     ap = 0.0
     prev_recall = 0.0
-    for t in sorted(thresholds):
+    for t in AP_THRESHOLDS_PX:
         tp = int((dists <= t).sum())
         precision = tp / n_det if n_det else 0.0
         recall = tp / n_gt if n_gt else 0.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, InsufficientPoints, NoConsensus
-from .geometry import RANSAC_CONFIDENCE
+from .geometry import RANSAC_CONFIDENCE, ransac_trials
 
 # estimate_global_motion's MAD cut, RANSAC inlier threshold and iteration cap
 MAD_MULTIPLIER = 3.0
@@ -46,14 +46,6 @@ class AffineSimilarity:
                    float(translation[0]), float(translation[1]))
 
     @property
-    def scale(self):
-        return float(np.hypot(self.a, self.b))
-
-    @property
-    def angle(self):
-        return float(np.arctan2(self.b, self.a))
-
-    @property
     def linear(self):
         return np.array([[self.a, -self.b], [self.b, self.a]])
 
@@ -76,15 +68,6 @@ class AffineSimilarity:
         P = np.atleast_2d(pts)
         out = P @ self.linear.T + self.translation
         return out[0] if single else out
-
-    def inverse(self):
-        s2 = self.a * self.a + self.b * self.b
-        ia, ib = self.a / s2, -self.b / s2
-        return AffineSimilarity(
-            ia, ib,
-            -(ia * self.tx - ib * self.ty),
-            -(ib * self.tx + ia * self.ty),
-        )
 
     def params(self):
         return np.array([self.a, self.b, self.tx, self.ty])
@@ -222,7 +205,7 @@ def estimate_global_motion(prev_pts, curr_pts, rng_seed=0):
     best_inliers = None
     needed = MOTION_MAX_ITERS
     it = 0
-    while it < min(MOTION_MAX_ITERS, needed):
+    while it < needed:
         it += 1
         i, j = rng.choice(mk, size=2, replace=False)
         ri, rj = kpc[i].tolist(), kpc[j].tolist()
@@ -236,12 +219,7 @@ def estimate_global_motion(prev_pts, curr_pts, rng_seed=0):
         if count > best_count:
             best_count = count
             best_inliers = inl
-            w = count / mk
-            if w >= 1.0:
-                break
-            denom = np.log1p(-(w ** 2))
-            if denom < 0.0:
-                needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
+            needed = min(MOTION_MAX_ITERS, ransac_trials(count / mk, 2, RANSAC_CONFIDENCE))
 
     if best_count < 2 or best_inliers is None:
         raise NoConsensus(f"best consensus has {best_count} pairs (need >= 2)")

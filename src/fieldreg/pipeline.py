@@ -61,7 +61,6 @@ class FilterOptions:
     ransac: RansacParams = dc_field(default_factory=RansacParams)
     ekf_active_set: str = ACTIVE_SETS[0]
     max_condition: float = MAX_INNOVATION_CONDITION
-    seed: int = 0
 
     def __post_init__(self):
         if self.motion_source not in MOTION_SOURCES:
@@ -72,7 +71,6 @@ class FilterOptions:
         # skip every homography update
         if not self.max_condition >= 1.0:
             raise ValueError(f"max_condition must be at least 1, got {self.max_condition}")
-        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ def _resolve_motion(frame, options):
         return AffineSimilarity.identity(), ["identity_motion_fallback"]
     try:
         model, _ = estimate_global_motion(flow[0], flow[1],
-                                          rng_seed=options.seed + frame.frame_index)
+                                          rng_seed=options.ransac.seed + frame.frame_index)
     except (InsufficientPoints, NoConsensus):
         return AffineSimilarity.identity(), ["identity_motion_fallback"]
     return model, []
@@ -220,12 +218,8 @@ def run_ransac_baseline(frames, template, ransac=RansacParams()):
             flags.append("insufficient_measurements")
         else:
             try:
-                H, _ = ransac_homography(
-                    template.positions[meas.ids], meas.positions,
-                    inlier_threshold_px=ransac.inlier_threshold_px,
-                    max_iters=ransac.max_iters,
-                    rng_seed=ransac.seed + frame.frame_index,
-                    confidence=ransac.confidence)
+                H, _ = ransac_homography(template.positions[meas.ids], meas.positions,
+                                         replace(ransac, seed=ransac.seed + frame.frame_index))
             except (NoConsensus, DegenerateConfiguration):
                 flags.append("no_consensus")
         out.append(FrameEstimate(
@@ -312,7 +306,6 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
         "frames": len(preds), "scored": 0, "pre_init": 0, "no_ground_truth": 0,
         "degenerate_projection": 0, "undefined_precision": 0, "undefined_recall": 0,
     }
-    per_metric = {name: [] for name in HOMOGRAPHY_METRICS + KEYPOINT_METRICS}
 
     for idx in sorted(preds):
         pred = preds[idx]
@@ -347,8 +340,6 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
             continue
 
         counts["scored"] += 1
-        for name in HOMOGRAPHY_METRICS:
-            per_metric[name].append(values[name])
 
         if truth.gt_ids is not None and truth.gt_ids.size:
             raw_det = template.ids[pred.keypoint_ids]
@@ -358,8 +349,6 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
                                           raw_gt, truth.gt_positions, dims, axis="x")
                 values["nrmse_y"] = nrmse(raw_det, pred.keypoint_positions,
                                           raw_gt, truth.gt_positions, dims, axis="y")
-                per_metric["nrmse_x"].append(values["nrmse_x"])
-                per_metric["nrmse_y"].append(values["nrmse_y"])
             except NoMatchedKeypoints:
                 flags.append("no_matched_keypoints")
             pr = precision_recall(raw_det, pred.keypoint_positions,
@@ -373,17 +362,14 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
             if not pr.recall_defined:
                 counts["undefined_recall"] += 1
                 flags.append("undefined_recall")
-            per_metric["precision"].append(pr.precision)
-            per_metric["recall"].append(pr.recall)
             values["average_precision"] = average_precision(
                 raw_det, pred.keypoint_positions, raw_gt, truth.gt_positions, dims)
-            per_metric["average_precision"].append(values["average_precision"])
 
         frames.append(FrameMetrics(idx, values, tuple(flags)))
 
     aggregates = {}
     for name in HOMOGRAPHY_METRICS + KEYPOINT_METRICS:
-        vals = per_metric[name]
+        vals = [fm.values[name] for fm in frames if name in fm.values]
         aggregates[name] = {
             "mean": float(np.mean(vals)) if vals else None,
             "median": float(np.median(vals)) if vals else None,

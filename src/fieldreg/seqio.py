@@ -194,8 +194,9 @@ def _frame_rows(path, kind):
     """Yield a JSONL file's SequenceHeader, then (line, frame, row) per frame row.
 
     Owns what the sequence and estimates readers share: UTF-8 decoding, blank
-    lines, JSON errors, the header, and the strictly increasing integer
-    'frame'.  Lines are decoded one at a time so a bad byte names its line.
+    lines, JSON errors, the header, and the strictly increasing non-negative
+    integer 'frame' (per-frame seeds are seed + frame).  Lines are decoded one
+    at a time so a bad byte names its line.
     """
     with open(path, "rb") as f:
         header = None
@@ -225,6 +226,8 @@ def _frame_rows(path, kind):
             if not isinstance(row, dict):
                 raise FormatError("a frame row must be a JSON object", path=path, line=line)
             frame = _int(row.get("frame"), "frame", path, line)
+            if frame < 0:
+                raise FormatError(f"frame must be at least 0, got {frame}", path=path, line=line)
             if last is not None and frame <= last:
                 raise FormatError(f"frame indices must strictly increase "
                                   f"({frame} after {last})", path=path, line=line)

@@ -20,10 +20,10 @@ from .geometry import (
     EPS_DET,
     EPS_T,
     check_seed,
-    homography_denominators,
     homography_from_params,
     homography_params,
     normalize_homography,
+    project,
 )
 from .keypoint_filter import MeasurementFrame, check_covariance
 from .motion import AffineSimilarity
@@ -90,9 +90,9 @@ def visible_keypoints(H, template, dims):
     """(indices, projected positions) of template keypoints landing in-bounds
     with a positive projective denominator."""
     positions = template.positions
-    den = homography_denominators(H, positions)
-    idx = np.flatnonzero(den > EPS_T)
     H = np.asarray(H, dtype=float)
+    den = project(H, *positions.T)[2]
+    idx = np.flatnonzero(den > EPS_T)
     proj = (positions[idx] @ H[:2, :2].T + H[:2, 2]) / den[idx, None]
     w, h = float(dims.width_px), float(dims.height_px)
     inb = (proj[:, 0] >= 0) & (proj[:, 0] <= w) & (proj[:, 1] >= 0) & (proj[:, 1] <= h)

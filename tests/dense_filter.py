@@ -27,12 +27,17 @@ from fieldreg.errors import (
     SingularInnovation,
     UnknownKeypointId,
 )
-from fieldreg.geometry import RansacParams, apply_homography, homography_params, ransac_homography
+from fieldreg.geometry import (
+    RansacParams,
+    apply_homography,
+    homography_from_params,
+    homography_params,
+    ransac_homography,
+)
 from fieldreg.homography_filter import (
     MAX_INNOVATION_CONDITION,
     HomographyFilterState,
     measurement_jacobian,
-    reconstruct_homography,
 )
 
 
@@ -147,11 +152,7 @@ def ekf_init(frame, template, bank, ransac=RansacParams()):
     if frame.k < 4:
         raise InsufficientPoints(f"initialization needs >= 4 measurements, got {frame.k}")
     try:
-        H0, _ = ransac_homography(
-            template.positions[frame.ids], frame.positions,
-            inlier_threshold_px=ransac.inlier_threshold_px,
-            max_iters=ransac.max_iters, rng_seed=ransac.seed,
-            confidence=ransac.confidence)
+        H0, _ = ransac_homography(template.positions[frame.ids], frame.positions, ransac)
     except NoConsensus as e:
         raise DegenerateConfiguration(f"no RANSAC consensus at init: {e}") from e
     return HomographyFilterState(h_mean=homography_params(H0), cov=bank.init_homography.copy())
@@ -159,11 +160,11 @@ def ekf_init(frame, template, bank, ransac=RansacParams()):
 
 def predict_measurements(state, active_idx, template):
     """Projected pixel positions (K, 2) of the active template keypoints."""
-    return apply_homography(reconstruct_homography(state), template.positions[active_idx])
+    return apply_homography(homography_from_params(state.h_mean), template.positions[active_idx])
 
 
 def ekf_predict(state, motion, bank):
-    H_new = motion.as_matrix() @ reconstruct_homography(state)
+    H_new = motion.as_matrix() @ homography_from_params(state.h_mean)
     F = _transition_matrix(motion)
     cov = F @ state.cov @ F.T + bank.homography_process
     cov = 0.5 * (cov + cov.T)

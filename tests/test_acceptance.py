@@ -30,6 +30,7 @@ from fieldreg.defaults import (
 from fieldreg.errors import DegenerateProjection, NumericalDegeneracy, SingularInnovation
 from fieldreg.field import FieldTemplate
 from fieldreg.geometry import (
+    RansacParams,
     apply_homography,
     dlt_homography,
     homography_from_params,
@@ -44,7 +45,6 @@ from fieldreg.homography_filter import (
     ekf_predict,
     ekf_update,
     measurement_jacobian,
-    reconstruct_homography,
 )
 from fieldreg.keypoint_filter import init_keypoint_state, lkf_predict, lkf_update
 from fieldreg.metrics import (
@@ -486,7 +486,7 @@ def test_criterion_07_predict_is_exact_composition():
                                       tx=rng.normal(0, 5.0), ty=rng.normal(0, 5.0))
             state = HomographyFilterState(h_mean=homography_params(H), cov=np.eye(8))
             pred = ekf_predict(state, motion, bank)
-            R = reconstruct_homography(pred)
+            R = homography_from_params(pred.h_mean)
             expected = motion.as_matrix() @ H
             assert np.abs(R - expected).max() <= RECURSION_TOL
             # third row of the projective part is untouched, bit for bit
@@ -543,8 +543,8 @@ def test_criterion_09_dlt_and_ransac_recovery():
         radii = rng.uniform(80.0, 400.0, size=18)
         dst_out[bad] += np.column_stack([radii * np.cos(angles),
                                          radii * np.sin(angles)])
-        H_rob, inliers = ransac_homography(src, dst_out, inlier_threshold_px=3.0,
-                                           max_iters=2000, rng_seed=11)
+        H_rob, inliers = ransac_homography(
+            src, dst_out, RansacParams(inlier_threshold_px=3.0, max_iters=2000, seed=11))
         assert np.abs(normalize_homography(H_rob) - H_true).max() < RANSAC_OUTLIER_TOL
         assert inliers.sum() >= 42
 

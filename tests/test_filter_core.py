@@ -11,7 +11,7 @@ from fieldreg.defaults import (
     DEFAULT_MEASUREMENT,
     default_covariance_bank,
 )
-from fieldreg.geometry import dlt_homography
+from fieldreg.geometry import RansacParams, dlt_homography
 from fieldreg.pipeline import FilterOptions
 from fieldreg.seqio import SequenceFrame
 from fieldreg.simulator import (
@@ -72,7 +72,7 @@ def test_iter_filter_matches_dense_reference(motion_source, active_set, max_cond
                                              monkeypatch):
     frames = noisy_frames(150, seed, with_flow=motion_source == "estimate")
     options = FilterOptions(motion_source=motion_source, ekf_active_set=active_set,
-                            max_condition=max_condition, seed=seed)
+                            max_condition=max_condition, ransac=RansacParams(seed=seed))
     structured, reference = run_structured_and_dense(frames, options, monkeypatch)
     assert len(structured) == len(reference) == len(frames)
     for s, r in zip(structured, reference):

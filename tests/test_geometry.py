@@ -16,6 +16,7 @@ from fieldreg.errors import (
 )
 from fieldreg.geometry import (
     RANSAC_INLIER_THRESHOLD_PX,
+    RansacParams,
     _draw_samples,
     _inlier_masks,
     _minimal_homographies,
@@ -24,13 +25,14 @@ from fieldreg.geometry import (
     convex_polygon,
     dlt_homography,
     ensure_ccw,
-    homography_denominators,
     homography_from_params,
     homography_params,
     invert_homography,
     normalize_homography,
     polygon_area,
+    project,
     ransac_homography,
+    ransac_trials,
     reprojection_distances,
     signed_area,
 )
@@ -81,7 +83,7 @@ def test_point_at_infinity_raises():
 
 def test_homography_denominators():
     H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, -0.25, 2.0]])
-    den = homography_denominators(H, np.array([[2.0, 4.0], [0.0, 0.0]]))
+    den = project(H, np.array([2.0, 0.0]), np.array([4.0, 0.0]))[2]
     assert den == pytest.approx([2.0, 2.0], abs=0)
 
 
@@ -168,7 +170,7 @@ def test_ransac_clean_data_exact():
         H = random_homography(rng)
         src = rng.uniform(-3.0, 3.0, size=(12, 2))
         dst = apply_homography(H, src)
-        est, mask = ransac_homography(src, dst, inlier_threshold_px=1e-6, rng_seed=seed)
+        est, mask = ransac_homography(src, dst, RansacParams(inlier_threshold_px=1e-6, seed=seed))
         assert mask.all()
         assert np.abs(est - H).max() < 1e-9
 
@@ -181,7 +183,7 @@ def test_ransac_with_outliers():
         dst = apply_homography(H, src)
         bad = rng.choice(20, size=6, replace=False)  # 30% outliers
         dst[bad] += rng.uniform(3.0, 6.0, size=(6, 2)) * rng.choice([-1.0, 1.0], size=(6, 2))
-        est, mask = ransac_homography(src, dst, inlier_threshold_px=1e-3, rng_seed=seed)
+        est, mask = ransac_homography(src, dst, RansacParams(inlier_threshold_px=1e-3, seed=seed))
         assert np.abs(est - H).max() < 1e-6
         good = np.ones(20, dtype=bool)
         good[bad] = False
@@ -194,7 +196,7 @@ def test_ransac_mask_matches_threshold():
     src = rng.uniform(-3.0, 3.0, size=(15, 2))
     dst = apply_homography(H, src)
     dst[0] += 50.0
-    est, mask = ransac_homography(src, dst, inlier_threshold_px=1.0, rng_seed=0)
+    est, mask = ransac_homography(src, dst, RansacParams(inlier_threshold_px=1.0, seed=0))
     d = reprojection_distances(est, src, dst)
     assert np.array_equal(mask, d <= 1.0)
 
@@ -204,8 +206,8 @@ def test_ransac_deterministic_in_seed():
     H = random_homography(rng)
     src = rng.uniform(-3.0, 3.0, size=(10, 2))
     dst = apply_homography(H, src) + rng.normal(0.0, 0.01, size=(10, 2))
-    a = ransac_homography(src, dst, inlier_threshold_px=0.05, rng_seed=42)
-    b = ransac_homography(src, dst, inlier_threshold_px=0.05, rng_seed=42)
+    a = ransac_homography(src, dst, RansacParams(inlier_threshold_px=0.05, seed=42))
+    b = ransac_homography(src, dst, RansacParams(inlier_threshold_px=0.05, seed=42))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -214,6 +216,16 @@ def test_ransac_needs_four_points():
     pts = np.zeros((3, 2))
     with pytest.raises(InsufficientPoints):
         ransac_homography(pts, pts)
+
+
+def test_ransac_trials_matches_the_textbook_table():
+    # Hartley & Zisserman, Multiple View Geometry, table 4.3 (p = 0.99): at
+    # 50% outliers a 4-point sample needs 72 draws and a 2-point one 17
+    assert ransac_trials(0.5, 4, 0.99) == 72
+    assert ransac_trials(0.5, 2, 0.99) == 17
+    # every point an inlier: stop now; no inlier: no count suffices
+    assert ransac_trials(1.0, 4, 0.99) == 0
+    assert ransac_trials(0.0, 4, 0.99) == np.inf
 
 
 def _has_collinear_triple(points):

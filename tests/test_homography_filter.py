@@ -11,7 +11,7 @@ from fieldreg.errors import (
     SingularInnovation,
     UnknownKeypointId,
 )
-from fieldreg.geometry import apply_homography
+from fieldreg.geometry import apply_homography, homography_from_params
 from fieldreg.homography_filter import (
     HomographyFilterState,
     _transition_matrix,
@@ -19,7 +19,6 @@ from fieldreg.homography_filter import (
     ekf_predict,
     ekf_update,
     measurement_jacobian,
-    reconstruct_homography,
 )
 from fieldreg.keypoint_filter import KeypointFilterState, MeasurementFrame
 from fieldreg.motion import AffineSimilarity
@@ -38,7 +37,7 @@ def init_state(seed=0, bank=None):
 def full_kp_state(rng, state, meas_cov_scale=1.0):
     """First-stage posterior stand-in: noisy projections, SPD block covariance."""
     n = TEMPLATE.n
-    proj = apply_homography(reconstruct_homography(state), TEMPLATE.positions)
+    proj = apply_homography(homography_from_params(state.h_mean), TEMPLATE.positions)
     mean = (proj + rng.normal(0, 1.0, size=proj.shape)).ravel()
     cov = np.zeros((n, 2, 2))
     for j in range(n):
@@ -65,7 +64,7 @@ def test_transition_matrix_blocks():
 
 def test_ekf_init_recovers_exact_homography():
     state, H = init_state()
-    assert np.abs(reconstruct_homography(state) - H).max() < 1e-9
+    assert np.abs(homography_from_params(state.h_mean) - H).max() < 1e-9
     assert np.array_equal(state.cov, pooled_bank().init_homography)
 
 
@@ -88,9 +87,9 @@ def test_predict_mean_is_exact_matrix_product():
         m = AffineSimilarity(a=rng.normal(1, 0.1), b=rng.normal(0, 0.1),
                              tx=rng.normal(0, 5), ty=rng.normal(0, 5))
         moved = ekf_predict(state, m, pooled_bank())
-        expect = m.as_matrix() @ reconstruct_homography(state)
+        expect = m.as_matrix() @ homography_from_params(state.h_mean)
         # bitwise: the product's last row is (h31, h32, 1) untouched
-        assert np.array_equal(reconstruct_homography(moved), expect)
+        assert np.array_equal(homography_from_params(moved.h_mean), expect)
         assert moved.h_mean[2] == state.h_mean[2]
         assert moved.h_mean[5] == state.h_mean[5]
         state = moved
@@ -112,7 +111,7 @@ def test_predicted_measurements_are_projections():
     state, H = init_state()
     active = np.array([0, 5, 17, 30])
     pred, _ = homography_filter._jacobian_terms(state, active, TEMPLATE)
-    expect = apply_homography(reconstruct_homography(state), TEMPLATE.positions[active])
+    expect = apply_homography(homography_from_params(state.h_mean), TEMPLATE.positions[active])
     assert np.allclose(pred, expect, atol=1e-12)
 
 

@@ -152,6 +152,22 @@ def test_estimated_motion_from_flow():
         assert np.abs(est.homography - fr.gt_homography).max() < 1e-5
 
 
+def test_motion_estimation_is_seeded_from_the_ransac_seed(monkeypatch):
+    seeds = []
+
+    def spy(prev_pts, curr_pts, rng_seed=0):
+        seeds.append(rng_seed)
+        return AffineSimilarity.identity(), np.ones(len(prev_pts), dtype=bool)
+
+    monkeypatch.setattr(fieldreg.pipeline, "estimate_global_motion", spy)
+    frames = [dataclasses.replace(fr, flow=(fr.gt_positions, fr.gt_positions))
+              for fr in sim_frames(n_frames=5)]
+    run_filter(frames, TEMPLATE, default_covariance_bank(),
+               FilterOptions(motion_source="estimate", ransac=RansacParams(seed=7)))
+    # frame 0 initializes; every later frame seeds its motion fit with seed + frame
+    assert seeds == [7 + fr.frame_index for fr in frames[1:]]
+
+
 def test_empty_frame_mid_sequence():
     frames = sim_frames(n_frames=5)
     rebuilt = list(frames[:3])
@@ -345,6 +361,25 @@ def _estimates_lines(tmp_path):
 
 def _write_rows(path, rows):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+@pytest.mark.parametrize("verb", ["filter", "baseline", "evaluate"])
+def test_negative_frame_index_is_a_format_error(tmp_path, capsys, verb):
+    # per-frame seeds are seed + frame: a negative frame is rejected where it
+    # is read, by path and line, before it can seed a generator
+    for name in ("golden_sequence.jsonl", "golden_estimates.jsonl"):
+        rows = [json.loads(line) for line in (GOLDEN / name).read_text().splitlines()]
+        for row in rows[1:]:
+            row["frame"] -= 100
+        _write_rows(tmp_path / name, rows)
+    seq, est = tmp_path / "golden_sequence.jsonl", tmp_path / "golden_estimates.jsonl"
+    # evaluate reads its estimates before its truth
+    inputs, bad = ((["--input", str(est), "--truth", str(seq)], est) if verb == "evaluate"
+                   else (["--input", str(seq)], seq))
+    out = tmp_path / "out"
+    assert cli_main([verb, "--output", str(out)] + inputs) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 2: frame must be at least 0, got -100\n"
+    assert not out.exists()
 
 
 def test_estimates_header_without_sequence_id_is_a_format_error(tmp_path):
@@ -688,11 +723,10 @@ def test_cli_rejects_config_keys_no_verb_reads(tmp_path, capsys, verb):
 
 @pytest.mark.parametrize("make", [
     lambda: RansacParams(seed=-1),
-    lambda: FilterOptions(seed=-1),
     lambda: SimConfig(template=TEMPLATE, dims=DIMS, n_frames=1,
                       initial_homography=np.eye(3), motions=(), seed=-1),
     lambda: run_evaluate([], [], TEMPLATE, DIMS, rng_seed=-1),
-], ids=["RansacParams", "FilterOptions", "SimConfig", "run_evaluate"])
+], ids=["RansacParams", "SimConfig", "run_evaluate"])
 def test_negative_seeds_are_rejected_by_name(make):
     with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
         make()
