@@ -10,6 +10,7 @@ fixed order, the same on every BLAS build.  Only the DLT refit uses LAPACK.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,10 +194,14 @@ def reprojection_distances(H, src, dst):
         return np.where(np.abs(t) > EPS_T, np.sqrt(du * du + dv * dv), np.inf)
 
 
-def check_seed(seed):
-    """ValueError naming seed unless it is at least 0, as NumPy's generators need."""
-    if not seed >= 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+def check_int(name, value, least):
+    """A TypeError naming name unless value is an integer (a bool is not one),
+    and a ValueError unless it is at least least.  A seed must be at least
+    0, as NumPy's generators need."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not value >= least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -214,9 +219,8 @@ class RansacParams:
         t = self.inlier_threshold_px
         if not (math.isfinite(t) and t > 0.0):
             raise ValueError(f"inlier_threshold_px must be a finite number above 0, got {t}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        check_seed(self.seed)
+        check_int("max_iters", self.max_iters, 1)
+        check_int("seed", self.seed, 0)
         # the adaptive stop takes log(1 - confidence)
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be strictly between 0 and 1, got {self.confidence}")

@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrix,
     UnknownKeypointId,
 )
-from .geometry import EPS_DET, RansacParams, check_seed, ransac_homography
+from .geometry import EPS_DET, RansacParams, check_int, ransac_homography
 from .homography_filter import (
     MAX_INNOVATION_CONDITION,
     ekf_init,
@@ -273,8 +273,9 @@ class MetricsReport:
 
 
 def check_evaluate_settings(**settings):
-    """run_evaluate's keyword settings back; a ValueError names one out of range."""
-    check_seed(settings.get("rng_seed", 0))
+    """run_evaluate's keyword settings back; a ValueError names one out of
+    range, and a TypeError a seed that is not an integer."""
+    check_int("seed", settings.get("rng_seed", 0), 0)
     if (n := settings.get("projection_samples", 1)) < 1:
         raise ValueError(f"projection_samples must be at least 1, got {n}")
     return settings

@@ -19,7 +19,7 @@ from .errors import DegenerateHomography, DimensionMismatch, EmptyVisibleRegion
 from .geometry import (
     EPS_DET,
     EPS_T,
-    check_seed,
+    check_int,
     homography_from_params,
     homography_params,
     normalize_homography,
@@ -74,8 +74,7 @@ class SimConfig:
             raise ValueError("non-finite entries in initial_homography")
         object.__setattr__(self, "initial_homography", normalize_homography(h0))
         object.__setattr__(self, "motions", tuple(self.motions))
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+        check_int("n_frames", self.n_frames, 1)
         if len(self.motions) != self.n_frames - 1:
             raise DimensionMismatch(
                 f"{self.n_frames} frames need {self.n_frames - 1} motions, got {len(self.motions)}")
@@ -83,7 +82,7 @@ class SimConfig:
             raise TypeError("motions must be AffineSimilarity instances")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        check_seed(self.seed)
+        check_int("seed", self.seed, 0)
 
 
 def visible_keypoints(H, template, dims):

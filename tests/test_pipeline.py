@@ -797,6 +797,25 @@ def test_ransac_params_reject_out_of_range_values(field, value):
         RansacParams(**{field: value})
 
 
+@pytest.mark.parametrize("make, field, value", [
+    *((lambda v: RansacParams(max_iters=v), "max_iters", v) for v in (2.5, True, 100.0)),
+    *((lambda v: RansacParams(seed=v), "seed", v) for v in (2.5, False)),
+    *((lambda v: SimConfig(template=TEMPLATE, dims=DIMS, n_frames=1, initial_homography=np.eye(3),
+                           motions=(), seed=v), "seed", v) for v in (2.5, True)),
+    (lambda v: SimConfig(template=TEMPLATE, dims=DIMS, n_frames=v, initial_homography=np.eye(3),
+                         motions=()), "n_frames", True),
+])
+def test_integer_settings_reject_floats_and_bools_by_name(make, field, value):
+    # a float or a bool used to pass the range check, and then a float failed
+    # inside NumPy with an error that named no field
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+        make(value)
+
+
+def test_integer_settings_take_numpy_integers():
+    assert RansacParams(max_iters=np.int64(7), seed=np.uint8(3)).max_iters == 7
+
+
 def test_ransac_params_accept_edge_values():
     p = RansacParams(inlier_threshold_px=1e-9, max_iters=1, confidence=1e-9)
     assert (p.inlier_threshold_px, p.max_iters, p.confidence) == (1e-9, 1, 1e-9)
