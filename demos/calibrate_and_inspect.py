@@ -19,7 +19,6 @@ from fieldreg import (
     pan_motion_script,
     run_calibrate,
     standard_soccer_template,
-    training_records,
 )
 
 TRUE_MEASUREMENT = np.array([[6.0, 1.2], [1.2, 3.0]])
@@ -33,13 +32,11 @@ def main():
     quad = np.array([[210.0, 130.0], [1070.0, 130.0], [1245.0, 660.0], [35.0, 660.0]])
     view = dlt_homography(template.corners(), quad)
 
-    sequences = []
-    for seq in range(N_SEQUENCES):
-        frames = generate_sequence(SimConfig(
-            template=template, dims=dims, n_frames=N_FRAMES,
-            initial_homography=view, motions=pan_motion_script(N_FRAMES),
-            noise=SimNoise(measurement=TRUE_MEASUREMENT), seed=100 + seq))
-        sequences.append(training_records(frames))
+    sequences = [generate_sequence(SimConfig(
+        template=template, dims=dims, n_frames=N_FRAMES,
+        initial_homography=view, motions=pan_motion_script(N_FRAMES),
+        noise=SimNoise(measurement=TRUE_MEASUREMENT), seed=100 + seq))
+        for seq in range(N_SEQUENCES)]
 
     bank = run_calibrate(sequences, template)
     n_total = int(sum(bank.measurement_counts.values()))

@@ -9,7 +9,6 @@ metrics, a synthetic sequence generator, file formats and a CLI.
 
 from .calibration import (
     CovarianceBank,
-    TrainingRecord,
     calibrate_bank,
     estimate_homography_process_cov,
     estimate_init_homography_cov,
@@ -95,13 +94,13 @@ from .pipeline import (
 from .seqio import (
     SequenceFrame,
     SequenceHeader,
+    TrainingRecord,
     iter_sequence,
     read_bank,
     read_estimates,
     read_report,
     read_sequence,
     read_template,
-    training_records,
     write_bank,
     write_estimates,
     write_report,

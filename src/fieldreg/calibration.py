@@ -12,56 +12,36 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, FieldRegError, NoSamples
-from .geometry import RansacParams, homography_params, normalize_homography, ransac_homography
+from .geometry import RansacParams, check_int, homography_params, ransac_homography
 from .keypoint_filter import NoiseConfig, check_covariance
-from .motion import AffineSimilarity
 
 MIN_SAMPLES_PER_KEYPOINT = 10
 
 
-@dataclass(frozen=True)
-class TrainingRecord:
-    """One annotated frame: ground truth plus raw detector measurements.
-
-    ids are canonical template indices.  motion is the global
-    AffineSimilarity from the previous frame to this one (None when unknown
-    or at a sequence start).
-    """
-
-    frame_index: int
-    gt_homography: np.ndarray
-    gt_ids: np.ndarray
-    gt_positions: np.ndarray
-    measured_ids: np.ndarray
-    measured_positions: np.ndarray
-    motion: AffineSimilarity = None
-
-    def __post_init__(self):
-        H = normalize_homography(np.asarray(self.gt_homography, dtype=float))
-        if not np.all(np.isfinite(H)):
-            raise ValueError("non-finite ground-truth homography")
-        object.__setattr__(self, "gt_homography", H)
-        for nm in ("gt_ids", "measured_ids"):
-            object.__setattr__(self, nm, np.asarray(getattr(self, nm), dtype=int).reshape(-1))
-        for nm in ("gt_positions", "measured_positions"):
-            object.__setattr__(self, nm, np.asarray(getattr(self, nm), dtype=float).reshape(-1, 2))
-        if self.gt_ids.size != self.gt_positions.shape[0]:
-            raise ValueError("gt ids and positions disagree")
-        if self.measured_ids.size != self.measured_positions.shape[0]:
-            raise ValueError("measured ids and positions disagree")
+def _annotated(frames):
+    """The frames that carry a ground-truth homography, in order."""
+    return (f for f in frames if f.gt_homography is not None)
 
 
-def _consecutive_pairs(sequence):
-    recs = sorted(sequence, key=lambda r: r.frame_index)
-    for a, b in zip(recs, recs[1:]):
-        if b.frame_index == a.frame_index + 1 and b.motion is not None:
-            yield a, b
+def _gt_keypoints(frame):
+    """(index, position) of each ground-truth keypoint of frame."""
+    return () if frame.gt_ids is None else zip(frame.gt_ids.tolist(), frame.gt_positions)
+
+
+def _consecutive_pairs(sequences):
+    """(a, b) per annotated frame b with a motion, a the annotated frame one index before b."""
+    for seq in sequences:
+        frames = sorted(_annotated(seq), key=lambda f: f.frame_index)
+        for a, b in zip(frames, frames[1:]):
+            if b.frame_index == a.frame_index + 1 and b.motion is not None:
+                yield a, b
 
 
 def _per_keypoint_mse(samples, min_samples):
     """(blocks, pooled, counts) of 2x2 mean squares from samples, a dict
     keypoint index -> list of 2-vectors.  A keypoint with fewer than
     min_samples samples gets the pooled matrix; counts are the raw counts."""
+    check_int("min_samples", min_samples, 1)
     sums = {}
     counts = {}
     total = np.zeros((2, 2))
@@ -90,18 +70,13 @@ def estimate_keypoint_process_cov(sequences, min_samples=MIN_SAMPLES_PER_KEYPOIN
     positions ground truth.  Returns (blocks, pooled, counts); raises NoSamples.
     """
     samples = {}
-    for a, b in _iter_pairs(sequences):
-        prev = dict(zip(a.gt_ids.tolist(), a.gt_positions))
-        for idx, pos in zip(b.gt_ids.tolist(), b.gt_positions):
+    for a, b in _consecutive_pairs(sequences):
+        prev = dict(_gt_keypoints(a))
+        for idx, pos in _gt_keypoints(b):
             if idx in prev:
                 e = pos - b.motion.transform(prev[idx])
                 samples.setdefault(idx, []).append(e)
     return _per_keypoint_mse(samples, min_samples)
-
-
-def _iter_pairs(sequences):
-    for seq in sequences:
-        yield from _consecutive_pairs(seq)
 
 
 def estimate_homography_process_cov(sequences):
@@ -113,7 +88,7 @@ def estimate_homography_process_cov(sequences):
     """
     acc = np.zeros((8, 8))
     n = 0
-    for a, b in _iter_pairs(sequences):
+    for a, b in _consecutive_pairs(sequences):
         pred = b.motion.as_matrix() @ a.gt_homography
         e = homography_params(b.gt_homography) - homography_params(pred)
         acc += np.outer(e, e)
@@ -123,41 +98,42 @@ def estimate_homography_process_cov(sequences):
     return acc / n, n
 
 
-def estimate_measurement_cov(records, min_samples=MIN_SAMPLES_PER_KEYPOINT):
+def estimate_measurement_cov(frames, min_samples=MIN_SAMPLES_PER_KEYPOINT):
     """Measurement covariance from the residual y - x_gt of each measured keypoint
     with ground truth.  Returns (blocks, pooled, counts); raises NoSamples."""
     samples = {}
-    for rec in records:
-        gt = dict(zip(rec.gt_ids.tolist(), rec.gt_positions))
-        for idx, pos in zip(rec.measured_ids.tolist(), rec.measured_positions):
+    for frame in _annotated(frames):
+        gt = dict(_gt_keypoints(frame))
+        for idx, pos in zip(frame.measurements.ids.tolist(), frame.measurements.positions):
             if idx in gt:
                 samples.setdefault(idx, []).append(pos - gt[idx])
     return _per_keypoint_mse(samples, min_samples)
 
 
-def estimate_init_homography_cov(records, template, ransac=RansacParams()):
+def estimate_init_homography_cov(frames, template, ransac=RansacParams()):
     """Covariance of the robust initial homography estimate about ground truth.
 
-    Re-runs the initialization RANSAC on each record's measurements (seeded
-    per record for determinism) and averages the squared parameter error
-    against the record's ground truth.  Records where the fit fails are
-    skipped.  Returns ((8, 8) matrix, sample count); raises NoSamples.
+    Re-runs the initialization RANSAC on the measurements of each annotated
+    frame, the i-th seeded ransac.seed + i, and averages the squared
+    parameter error against its ground truth.  Frames where the fit fails
+    are skipped.  Returns ((8, 8) matrix, sample count); raises NoSamples.
     """
     acc = np.zeros((8, 8))
     n = 0
-    for i, rec in enumerate(records):
-        if rec.measured_ids.size < 4:
+    for i, frame in enumerate(_annotated(frames)):
+        m = frame.measurements
+        if m.ids.size < 4:
             continue
         try:
-            H, _ = ransac_homography(template.positions[rec.measured_ids], rec.measured_positions,
+            H, _ = ransac_homography(template.positions[m.ids], m.positions,
                                      replace(ransac, seed=ransac.seed + i))
         except FieldRegError:
             continue
-        e = homography_params(H) - homography_params(rec.gt_homography)
+        e = homography_params(H) - homography_params(frame.gt_homography)
         acc += np.outer(e, e)
         n += 1
     if n == 0:
-        raise NoSamples("no record admitted a robust homography fit")
+        raise NoSamples("no frame admitted a robust homography fit")
     return acc / n, n
 
 
@@ -232,15 +208,16 @@ def calibrate_bank(sequences, template, ransac=RansacParams(),
                    min_samples=MIN_SAMPLES_PER_KEYPOINT):
     """Run all four estimators over training sequences and assemble a bank.
 
-    sequences: list of lists of TrainingRecord (ids canonical indices).
+    sequences: lists of SequenceFrame.  A frame without a gt_homography is
+    skipped, and one without gt_keypoints has no ground-truth keypoints.
     Raises NoSamples if any estimator has nothing to work with.
     """
     kp_blocks, kp_pooled, kp_counts = estimate_keypoint_process_cov(
         sequences, min_samples=min_samples)
     sigma_h, n_h = estimate_homography_process_cov(sequences)
-    records = [r for seq in sequences for r in seq]
-    m_blocks, m_pooled, m_counts = estimate_measurement_cov(records, min_samples=min_samples)
-    init_cov, n_init = estimate_init_homography_cov(records, template, ransac=ransac)
+    frames = [f for seq in sequences for f in seq]
+    m_blocks, m_pooled, m_counts = estimate_measurement_cov(frames, min_samples=min_samples)
+    init_cov, n_init = estimate_init_homography_cov(frames, template, ransac=ransac)
 
     def by_raw_id(values, f):
         return {int(template.ids[i]): f(v) for i, v in values.items()}

@@ -23,7 +23,7 @@ from .defaults import (
 )
 from .errors import FieldRegError, FormatError, FrameMismatch
 from .field import ImageDims, standard_soccer_template
-from .geometry import RansacParams, dlt_homography
+from .geometry import RansacParams, check_int, dlt_homography
 from .metrics import PR_THRESHOLD_PX, PROJECTION_ERROR_SAMPLES
 from .motion import AffineSimilarity
 from .pipeline import (
@@ -43,7 +43,6 @@ from .seqio import (
     read_estimates,
     read_sequence,
     read_template,
-    training_records,
     write_bank,
     write_estimates,
     write_report,
@@ -192,15 +191,16 @@ def _cmd_simulate(args, config, template):
     return 0
 
 
+def _calibrate_settings(**settings):
+    """calibrate's keyword settings back; a ValueError names a min_samples below 1."""
+    check_int("min_samples", settings.get("min_samples", 1), 1)
+    return settings
+
+
 def _cmd_calibrate(args, config, template):
     ransac = _ransac(args, config)
-    settings = _options(args, config, dict, "min_samples")
-    sequences = []
-    for path in args.input:
-        _, frames = read_sequence(path, template)
-        records = training_records(frames)
-        if records:
-            sequences.append(records)
+    settings = _options(args, config, _calibrate_settings, "min_samples")
+    sequences = [read_sequence(path, template)[1] for path in args.input]
     bank = run_calibrate(sequences, template, ransac=ransac, **settings)
     write_bank(bank, args.output)
     n_kp = len(bank.measurement)

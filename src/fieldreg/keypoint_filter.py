@@ -90,12 +90,6 @@ class NoiseConfig:
         object.__setattr__(self, "process", proc)
         object.__setattr__(self, "measurement", meas)
 
-    @classmethod
-    def uniform(cls, n, process, measurement):
-        """Same 2x2 blocks for every keypoint."""
-        return cls(np.tile(np.asarray(process, dtype=float), (n, 1, 1)),
-                   np.tile(np.asarray(measurement, dtype=float), (n, 1, 1)))
-
     @property
     def n(self):
         return self.process.shape[0]

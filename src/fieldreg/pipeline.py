@@ -231,10 +231,10 @@ def run_ransac_baseline(frames, template, ransac=RansacParams()):
     return out
 
 
-def run_calibrate(record_sequences, template, ransac=RansacParams(),
+def run_calibrate(sequences, template, ransac=RansacParams(),
                   min_samples=MIN_SAMPLES_PER_KEYPOINT):
-    """Covariance bank from ground-truth-annotated training sequences."""
-    return calibrate_bank(record_sequences, template, ransac=ransac, min_samples=min_samples)
+    """Covariance bank from annotated sequences, lists of SequenceFrame."""
+    return calibrate_bank(sequences, template, ransac=ransac, min_samples=min_samples)
 
 
 HOMOGRAPHY_METRICS = ("iou_entire", "iou_entire_image", "iou_part",
@@ -278,6 +278,9 @@ def check_evaluate_settings(**settings):
     check_int("seed", settings.get("rng_seed", 0), 0)
     if (n := settings.get("projection_samples", 1)) < 1:
         raise ValueError(f"projection_samples must be at least 1, got {n}")
+    t = settings.get("pr_threshold_px", PR_THRESHOLD_PX)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"pr_threshold_px must be a finite number above 0, got {t}")
     return settings
 
 
@@ -291,9 +294,10 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
     flagged degenerate and likewise excluded.
     Aggregates carry mean and median per metric over the scored frames; the
     average_precision mean is the mAP.  Raises FrameMismatch when the two
-    frame sets differ, and ValueError for rng_seed < 0 or projection_samples < 1.
+    frame sets differ, and ValueError naming a setting out of range.
     """
-    check_evaluate_settings(rng_seed=rng_seed, projection_samples=projection_samples)
+    check_evaluate_settings(rng_seed=rng_seed, pr_threshold_px=pr_threshold_px,
+                            projection_samples=projection_samples)
     preds = {p.frame_index: p for p in predictions}
     truths = {t.frame_index: t for t in truth_frames}
     if set(preds) != set(truths):

@@ -19,7 +19,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .calibration import CovarianceBank, TrainingRecord
+from .calibration import CovarianceBank
 from .errors import FormatError, SingularMatrix, UnknownKeypointId
 from .field import FieldTemplate, ImageDims
 from .geometry import EPS_T, normalize_homography
@@ -220,6 +220,22 @@ class SequenceFrame:
     gt_homography: np.ndarray = None
     gt_ids: np.ndarray = None
     gt_positions: np.ndarray = None
+
+
+def TrainingRecord(frame_index, gt_homography, gt_ids, gt_positions, measured_ids,
+                   measured_positions, motion=None):
+    """A checked SequenceFrame of one annotated frame, ids canonical, from the
+    fields of a calibration record; bench/test_checks.py builds one this way."""
+    H = normalize_homography(gt_homography)
+    if not np.all(np.isfinite(H)):
+        raise ValueError("non-finite ground-truth homography")
+    gt_ids = np.asarray(gt_ids, dtype=int).reshape(-1)
+    gt_positions = np.asarray(gt_positions, dtype=float).reshape(-1, 2)
+    if gt_ids.size != gt_positions.shape[0]:
+        raise ValueError("gt ids and positions disagree")
+    measurements = MeasurementFrame(frame_index, measured_ids, measured_positions)
+    return SequenceFrame(frame_index, measurements, motion, gt_homography=H, gt_ids=gt_ids,
+                         gt_positions=gt_positions)
 
 
 def _id_pos_list(ids, positions, template):
@@ -596,26 +612,6 @@ def read_sequence(path, template):
     """(SequenceHeader, list of SequenceFrame)."""
     header, *frames = iter_sequence(path, template)
     return header, frames
-
-
-def training_records(frames):
-    """TrainingRecords from sequence frames that carry a ground-truth homography."""
-    out = []
-    for fr in frames:
-        if fr.gt_homography is None:
-            continue
-        gt_ids = fr.gt_ids if fr.gt_ids is not None else np.empty(0, dtype=int)
-        gt_pos = fr.gt_positions if fr.gt_positions is not None else np.empty((0, 2))
-        out.append(TrainingRecord(
-            frame_index=fr.frame_index,
-            gt_homography=fr.gt_homography,
-            gt_ids=gt_ids,
-            gt_positions=gt_pos,
-            measured_ids=fr.measurements.ids,
-            measured_positions=fr.measurements.positions,
-            motion=fr.motion,
-        ))
-    return out
 
 
 def write_estimates(path, header, estimates, template):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fieldreg
-from fieldreg import CovarianceBank, ImageDims, standard_soccer_template
+from fieldreg import CovarianceBank, ImageDims, NoiseConfig, standard_soccer_template
 from fieldreg.errors import PointAtInfinity
 from fieldreg.geometry import EPS_T, dlt_homography
 from numpy_polygons import ensure_ccw
@@ -42,6 +42,12 @@ def pooled_bank(init_homography=1e-2 * np.eye(8), homography_process=1e-6 * np.e
     """Bank with pooled entries only; the 8x8 matrices default to small noise."""
     return CovarianceBank(keypoint_process_pooled=np.zeros((2, 2)), measurement_pooled=np.eye(2),
                           homography_process=homography_process, init_homography=init_homography)
+
+
+def uniform_noise(n, process, measurement):
+    """NoiseConfig with the same 2x2 blocks for every keypoint."""
+    return NoiseConfig(np.tile(np.asarray(process, dtype=float), (n, 1, 1)),
+                       np.tile(np.asarray(measurement, dtype=float), (n, 1, 1)))
 
 
 def view_homography(rng=None, dims=DIMS, template=TEMPLATE, jitter_px=0.0):

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from fieldreg.calibration import (
-    TrainingRecord,
     estimate_homography_process_cov,
     estimate_keypoint_process_cov,
     estimate_measurement_cov,
@@ -59,7 +58,7 @@ from fieldreg.metrics import (
 )
 from fieldreg.motion import AffineSimilarity
 from fieldreg.pipeline import run_filter, run_ransac_baseline
-from fieldreg.seqio import read_report
+from fieldreg.seqio import TrainingRecord, read_report
 from fieldreg.simulator import SimConfig, SimNoise, generate_sequence, pan_motion_script
 from dense_filter import block_diag, predict_measurements
 from helpers import (

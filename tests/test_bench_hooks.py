@@ -3,10 +3,11 @@
 bench/tracing.py wraps fieldreg functions under the names by which
 fieldreg.pipeline looks them up, and reads their counts from positional
 arguments and results.  A renamed function, or a changed positional
-signature, would make the benchmark's per-layer metrics read null.  Both
+signature, would make the benchmark's per-layer metrics read null.  The
 tests only read bench/.  One runs the tracer around a short filter run with
-estimated motion, the way the stream workload does; the other around
-`fieldreg evaluate` on the golden files, the way the offline workload does.
+estimated motion, the way the stream workload does; the others around
+`fieldreg evaluate`, `fieldreg calibrate` and `fieldreg baseline` on the
+golden files, the way the offline workload does.
 """
 
 import pathlib
@@ -18,7 +19,7 @@ from fieldreg import pipeline
 from fieldreg.cli import main as cli_main
 from fieldreg.defaults import default_covariance_bank
 from fieldreg.pipeline import FilterOptions
-from fieldreg.seqio import SequenceFrame, read_report
+from fieldreg.seqio import SequenceFrame, read_report, read_sequence
 from fieldreg.simulator import SimConfig, generate_sequence, pan_motion_script
 from helpers import DIMS, TEMPLATE, view_homography
 
@@ -120,4 +121,61 @@ def test_tracer_spans_cover_the_evaluate_layers(tracing, tmp_path):
             "seqio.read_estimates_ms_per_frame", "seqio.read_sequence_ms_per_frame",
             "seqio.write_report_ms"]:
         assert metrics[name]["value"] is not None, name
+        assert metrics[name]["value"] > 0, name
+
+
+def traced_cli(tracing, argv):
+    """The spans of one traced `fieldreg` run, which must exit 0, as
+    {layer: [(parent layer, info)]}, each span without an error."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli_main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert not tracer.missing
+    spans = {}
+    for layer, _, _, parent, info, error in tracer.spans:
+        assert error is None, layer
+        spans.setdefault(layer, []).append((tracer.spans[parent][0] if parent >= 0 else None,
+                                            info))
+    return tracer, spans
+
+
+def test_tracer_spans_cover_the_calibrate_and_baseline_layers(tracing, tmp_path):
+    data = pathlib.Path(__file__).parent / "data"
+    seq = str(data / "golden_sequence.jsonl")
+    _, frames = read_sequence(seq, TEMPLATE)
+    fits = sum(1 for f in frames if f.measurements.k >= 4)
+    annotated_fits = sum(1 for f in frames if f.measurements.k >= 4
+                         and f.gt_homography is not None)
+    assert annotated_fits > 0
+
+    # calibrate: pipeline looks calibrate_bank up, calibrate_bank looks
+    # estimate_init_homography_cov up, and that looks ransac_homography up
+    tracer, spans = traced_cli(tracing, ["calibrate", "--input", seq, "--seed", "5",
+                                         "--output", str(tmp_path / "bank.json")])
+    assert spans["calibration.calibrate_bank"] == [(None, None)]
+    assert [p for p, _ in spans["calibration.estimate_init_homography_cov"]] == [
+        "calibration.calibrate_bank"]
+    fit_spans = spans["geometry.ransac_homography"]
+    assert [p for p, _ in fit_spans] == [
+        "calibration.estimate_init_homography_cov"] * annotated_fits
+    assert all(0 < frac <= 1 for _, frac in fit_spans)
+    metrics = tracer.layer_metrics(1, len(frames), 1)
+    for name in ("calibration.calibrate_bank_self_ms",
+                 "calibration.estimate_init_homography_cov_self_ms",
+                 "geometry.ransac_homography_ms", "geometry.ransac_calls"):
+        assert metrics[name]["value"] > 0, name
+
+    # baseline: the CLI looks run_ransac_baseline up, and pipeline
+    # ransac_homography
+    tracer, spans = traced_cli(tracing, ["baseline", "--input", seq,
+                                         "--output", str(tmp_path / "est.jsonl")])
+    assert spans["pipeline.run_ransac_baseline"] == [(None, None)]
+    assert [p for p, _ in spans["geometry.ransac_homography"]] == [
+        "pipeline.run_ransac_baseline"] * fits
+    metrics = tracer.layer_metrics(1, len(frames), 1)
+    for name in ("pipeline.run_ransac_baseline_self_ms", "geometry.ransac_homography_ms",
+                 "geometry.ransac_calls"):
         assert metrics[name]["value"] > 0, name

@@ -1,10 +1,11 @@
 """Covariance estimators: hand-built oracles, pooling rules, recovery rates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fieldreg.calibration import (
-    TrainingRecord,
     calibrate_bank,
     estimate_homography_process_cov,
     estimate_init_homography_cov,
@@ -12,10 +13,12 @@ from fieldreg.calibration import (
     estimate_measurement_cov,
     repair_psd,
 )
-from fieldreg.errors import NoSamples
-from fieldreg.geometry import apply_homography
+from fieldreg.errors import NoSamples, UnknownKeypointId
+from fieldreg.geometry import RansacParams, apply_homography
 from fieldreg.motion import AffineSimilarity
-from helpers import TEMPLATE, view_homography
+from fieldreg.seqio import SequenceFrame, TrainingRecord, write_bank
+from fieldreg.simulator import SimConfig, SimNoise, generate_sequence, pan_motion_script
+from helpers import DIMS, TEMPLATE, view_homography
 
 
 def make_record(frame_index, H, gt_ids, meas_offset=None, motion=None):
@@ -215,3 +218,79 @@ def test_calibrate_bank_assembles_and_repairs():
         assert np.linalg.eigvalsh(M).min() >= -1e-12
     noise = bank.noise_for(TEMPLATE)
     assert noise.n == TEMPLATE.n
+
+
+def bank_bytes(bank, path):
+    write_bank(bank, path)
+    return path.read_bytes()
+
+
+def test_calibration_skips_frames_without_ground_truth(tmp_path):
+    # read_sequence and the simulator give SequenceFrames, some without a
+    # gt_homography or gt_keypoints: the first are skipped everywhere (the
+    # init fits' seeds count annotated frames only), the second have no
+    # ground-truth keypoints
+    frames = generate_sequence(SimConfig(
+        template=TEMPLATE, dims=DIMS, n_frames=40, initial_homography=view_homography(),
+        motions=pan_motion_script(40), noise=SimNoise(measurement=4.0 * np.eye(2)),
+        dropout=0.2, seed=7))
+    no_h = {3, 4, 11, 25}
+    no_kp = {7, 8, 30}
+    mixed, kept = [], []
+    for f in frames:
+        if f.frame_index in no_h:
+            mixed.append(replace(f, gt_homography=None))
+        elif f.frame_index in no_kp:
+            mixed.append(replace(f, gt_ids=None, gt_positions=None))
+            kept.append(replace(f, gt_ids=np.empty(0, dtype=int), gt_positions=np.empty((0, 2))))
+        else:
+            mixed.append(f)
+            kept.append(f)
+    ransac = RansacParams(seed=5)
+    got = calibrate_bank([mixed], TEMPLATE, ransac=ransac, min_samples=3)
+    want = calibrate_bank([kept], TEMPLATE, ransac=ransac, min_samples=3)
+    assert bank_bytes(got, tmp_path / "got.json") == bank_bytes(want, tmp_path / "want.json")
+    assert got.init_homography_samples == len(kept)
+    # a frame without gt_homography would have counted had it been read
+    full = calibrate_bank([frames], TEMPLATE, ransac=ransac, min_samples=3)
+    assert full.init_homography_samples == len(frames)
+
+
+def test_training_record_is_a_checked_sequence_frame():
+    H = view_homography()
+    ids = np.array([0, 1, 2, 3])
+    rec = make_record(4, 2.0 * H, ids, motion=AffineSimilarity.identity())
+    assert isinstance(rec, SequenceFrame)
+    assert rec.frame_index == rec.measurements.frame_index == 4
+    assert np.array_equal(rec.gt_homography, H)     # normalized to h33 = 1
+    assert np.array_equal(rec.measurements.ids, ids)
+    pos = apply_homography(H, TEMPLATE.positions[ids])
+    bad_h = H.copy()
+    bad_h[0, 1] = np.nan
+    for kw, error, message in (
+            ({"gt_homography": bad_h}, ValueError, "non-finite ground-truth homography"),
+            ({"gt_ids": ids[:3]}, ValueError, "gt ids and positions disagree"),
+            ({"measured_ids": ids[:3]}, ValueError, "3 ids with 4 positions"),
+            ({"measured_ids": np.array([0, 1, 1, 3])}, ValueError, "duplicate keypoint ids"),
+            ({"measured_ids": np.array([0, 1, -2, 3])}, UnknownKeypointId,
+             "negative keypoint index"),
+            ({"measured_positions": np.where(ids[:, None] == 2, np.inf, pos)}, ValueError,
+             "non-finite measurement position")):
+        fields = dict(frame_index=0, gt_homography=H, gt_ids=ids, gt_positions=pos,
+                      measured_ids=ids, measured_positions=pos)
+        with pytest.raises(error, match=message):
+            TrainingRecord(**{**fields, **kw})
+
+
+@pytest.mark.parametrize("min_samples", [0, -3])
+def test_sample_floor_below_one_is_rejected(min_samples):
+    H = view_homography()
+    ids = np.array([0, 1, 2, 3])
+    records = [make_record(t, H, ids, motion=AffineSimilarity.identity()) for t in range(3)]
+    message = f"^min_samples must be at least 1, got {min_samples}$"
+    with pytest.raises(ValueError, match=message):
+        estimate_measurement_cov(records, min_samples=min_samples)
+    with pytest.raises(ValueError, match=message):
+        estimate_keypoint_process_cov([records], min_samples=min_samples)
+    with pytest.raises(ValueError, match=message):
+        calibrate_bank([records], TEMPLATE, min_samples=min_samples)

@@ -14,6 +14,7 @@ from fieldreg.keypoint_filter import (
 )
 from fieldreg.motion import AffineSimilarity
 from dense_filter import block_diag
+from helpers import uniform_noise
 
 
 def random_spd(rng, d=2, scale=1.0):
@@ -125,7 +126,7 @@ def test_mixed_new_and_known_matches_oracle():
 
 
 def test_predict_pure_translation():
-    noise = NoiseConfig.uniform(3, process=0.5 * np.eye(2), measurement=np.eye(2))
+    noise = uniform_noise(3, process=0.5 * np.eye(2), measurement=np.eye(2))
     state = init_keypoint_state(3)
     state = lkf_update(state, MeasurementFrame(0, np.arange(3),
                                                np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 4.0]])),
@@ -171,7 +172,7 @@ def test_covariance_stays_symmetric_and_psd():
 
 
 def test_singular_innovation_raises():
-    zero = NoiseConfig.uniform(2, process=np.zeros((2, 2)), measurement=np.zeros((2, 2)))
+    zero = uniform_noise(2, process=np.zeros((2, 2)), measurement=np.zeros((2, 2)))
     state = init_keypoint_state(2)
     frame = MeasurementFrame(0, np.array([0]), np.array([[1.0, 1.0]]))
     state = lkf_update(state, frame, zero)    # direct init, cov block = 0
@@ -201,7 +202,7 @@ def test_input_validation():
 def test_indefinite_innovation_block_raises():
     # keypoint 1's block has a positive diagonal but a negative determinant,
     # so only the 2x2 determinant test can reject its innovation block
-    noise = NoiseConfig.uniform(2, process=np.eye(2), measurement=np.eye(2))
+    noise = uniform_noise(2, process=np.eye(2), measurement=np.eye(2))
     cov = np.stack([np.eye(2), np.array([[1.0, 3.0], [3.0, 1.0]])])
     state = KeypointFilterState(mean=np.zeros(4), cov=cov,
                                 measured_ever=np.ones(2, dtype=bool),

@@ -42,7 +42,6 @@ from fieldreg.seqio import (
     read_report,
     read_sequence,
     read_template,
-    training_records,
     write_bank,
     write_estimates,
     write_report,
@@ -290,9 +289,6 @@ def test_sequence_round_trip(tmp_path):
             assert rb.motion is None
         else:
             assert np.allclose(rb.motion.params(), fr.motion.params(), atol=0)
-    recs = training_records(back)
-    assert len(recs) == 6
-    assert recs[1].motion is not None
 
 
 def test_raw_ids_round_trip(tmp_path):
@@ -573,7 +569,7 @@ def test_estimates_round_trip(tmp_path):
 
 def test_bank_round_trip(tmp_path):
     frames = sim_frames(n_frames=25, noise=SimNoise(measurement=DEFAULT_MEASUREMENT))
-    bank = run_calibrate([training_records(frames)], TEMPLATE)
+    bank = run_calibrate([frames], TEMPLATE)
     path = tmp_path / "bank.json"
     write_bank(bank, path)
     back = read_bank(path)
@@ -694,6 +690,11 @@ def test_cli_error_paths(tmp_path, capsys):
             ("filter", '{"max_condition": null}', "max_condition must be a number"),
             ("filter", '{"init_from_homography": true}', "unknown key 'init_from_homography'"),
             ("evaluate", '{"projection_samples": 0}', "projection_samples must be at least 1"),
+            ("evaluate", '{"pr_threshold_px": NaN}',
+             "pr_threshold_px must be a finite number above 0, got nan"),
+            ("evaluate", '{"pr_threshold_px": -5}',
+             "pr_threshold_px must be a finite number above 0, got -5"),
+            ("calibrate", '{"min_samples": -3}', "min_samples must be at least 1, got -3"),
             *((verb, '{"seed": -1}', "seed must be at least 0, got -1") for verb in inputs)):
         bad_cfg.write_text(text)
         capsys.readouterr()
@@ -869,6 +870,34 @@ def test_cli_evaluate_rejects_nonpositive_projection_samples(tmp_path, capsys, n
                      "--projection-samples", n, "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: projection_samples")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, flag, value, message", [
+    ("evaluate", "--pr-threshold-px", "nan", "pr_threshold_px must be a finite number above 0"),
+    ("evaluate", "--pr-threshold-px", "-5", "pr_threshold_px must be a finite number above 0"),
+    ("evaluate", "--pr-threshold-px", "0", "pr_threshold_px must be a finite number above 0"),
+    ("calibrate", "--min-samples", "-3", "min_samples must be at least 1, got -3"),
+    ("calibrate", "--min-samples", "0", "min_samples must be at least 1, got 0"),
+])
+def test_cli_rejects_out_of_range_match_threshold_and_sample_floor(tmp_path, capsys, verb, flag,
+                                                                   value, message):
+    # a NaN or negative threshold matched no keypoint, and a floor below 1
+    # was taken as 1; both ran to exit 0
+    out = tmp_path / "out.json"
+    inputs = {"calibrate": ["--input", str(GOLDEN / "golden_sequence.jsonl")],
+              "evaluate": ["--input", str(GOLDEN / "golden_estimates.jsonl"),
+                           "--truth", str(GOLDEN / "golden_sequence.jsonl")]}[verb]
+    assert cli_main([verb, *inputs, flag, value, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -5.0])
+def test_run_evaluate_rejects_a_bad_match_threshold(threshold):
+    frames = sim_frames(n_frames=3)
+    preds = run_ransac_baseline(frames, TEMPLATE)
+    with pytest.raises(ValueError, match="^pr_threshold_px must be a finite number above 0"):
+        run_evaluate(preds, frames, TEMPLATE, DIMS, pr_threshold_px=threshold)
 
 
 @pytest.mark.parametrize("at", [("measurement", "pooled"), ("measurement", "per_id", "0"),

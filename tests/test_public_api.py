@@ -1,5 +1,6 @@
 """Every name the package exports is used by the library, the benchmark or a
-demo.  A name that only tests call belongs in tests/, next to its callers."""
+demo, and so is every classmethod and staticmethod of an exported class.  A
+name that only tests call belongs in tests/, next to its callers."""
 
 import ast
 import pathlib
@@ -57,3 +58,61 @@ def test_every_export_is_used_outside_tests():
     assert sorted(exported_names() - EXEMPT - used) == []
     # an exemption that the library has come to use is stale
     assert sorted(EXEMPT & used) == []
+
+
+def class_methods(tree, classes):
+    """(class, method) of each classmethod or staticmethod of classes defined in tree."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            found |= {(node.name, item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and any(isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+                              for d in item.decorator_list)}
+    return found
+
+
+def class_attributes(tree):
+    """(owner, attribute) of each owner.attribute read in tree, the owner a
+    bare name or the last part of a dotted one.  Unlike a match on the
+    attribute alone, this tells NoiseConfig.uniform from rng.uniform."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                used.add((owner.id, node.attr))
+            elif isinstance(owner, ast.Attribute):
+                used.add((owner.attr, node.attr))
+    return used
+
+
+def test_every_class_method_of_an_export_is_called_outside_tests():
+    exported = exported_names()
+    methods = set()
+    for path in ROOT.glob("*.py"):
+        methods |= class_methods(ast.parse(path.read_text(encoding="utf-8")), exported)
+    assert ("AffineSimilarity", "identity") in methods
+    used = set()
+    for path in SOURCES:
+        used |= class_attributes(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(methods - used) == []
+
+
+def test_class_attributes_need_the_class_as_owner():
+    tree = ast.parse("rng.uniform(0, 1)\n"
+                     "fieldreg.AffineSimilarity.identity()\n"
+                     "class C:\n"
+                     "    @classmethod\n"
+                     "    def make(cls):\n"
+                     "        return cls.make()\n"
+                     "    @staticmethod\n"
+                     "    def zero():\n"
+                     "        return 0\n"
+                     "    def plain(self):\n"
+                     "        return C.zero()\n")
+    assert class_attributes(tree) == {("rng", "uniform"), ("fieldreg", "AffineSimilarity"),
+                                      ("AffineSimilarity", "identity"), ("cls", "make"),
+                                      ("C", "zero")}
+    assert class_methods(tree, {"C"}) == {("C", "make"), ("C", "zero")}
+    assert class_methods(tree, set()) == set()
