@@ -13,8 +13,6 @@ import dataclasses
 import functools
 import sys
 
-import numpy as np
-
 from .calibration import MIN_SAMPLES_PER_KEYPOINT
 from .defaults import (
     DEFAULT_HOMOGRAPHY_PROCESS,
@@ -39,6 +37,7 @@ from .pipeline import (
 from .seqio import (
     SequenceHeader,
     _load_json,
+    _numbers,
     read_bank,
     read_estimates,
     read_sequence,
@@ -122,15 +121,6 @@ def _default_corners(dims):
             [0.03 * w, 0.92 * h]]
 
 
-def _matrix(key, value):
-    """A JSON array of equal-length arrays of numbers, as a float array."""
-    if not (type(value) is list and value and all(type(row) is list for row in value)
-            and len({len(row) for row in value}) == 1
-            and all(type(v) in (int, float) for row in value for v in row)):
-        raise ValueError(f"{key} must be an array of equal-length arrays of numbers")
-    return np.array(value, dtype=float)
-
-
 def _motion_script(spec, n_frames):
     kind = spec.get("kind", "pan")
     if kind not in ("pan", "static"):
@@ -138,9 +128,7 @@ def _motion_script(spec, n_frames):
     kw = {}
     for key, value in spec.items():
         if key == "translation_amplitude":
-            if not (type(value) is list and len(value) == 2):
-                raise ValueError(f"motion {key} must be an array of two numbers")
-            kw[key] = tuple(_typed(f"motion {key}", v, _NUMBER) for v in value)
+            kw[key] = _numbers(value, f"motion {key}", (2,), None)
         elif key in PAN_NUMBERS:
             kw[key] = _typed(f"motion {key}", value, _NUMBER)
         elif key != "kind":
@@ -160,7 +148,8 @@ def _sim_noise(spec):
     unknown = sorted(set(spec) - set(keys))
     if unknown:
         raise ValueError(f"unknown noise key {unknown[0]!r} (expected {', '.join(keys)})")
-    return SimNoise(**{key: _matrix(f"noise {key}", value) for key, value in spec.items()})
+    return SimNoise(**{key: _numbers(value, f"noise {key}", (None, None), None)
+                       for key, value in spec.items()})
 
 
 def _sim_config(template, **settings):
@@ -168,9 +157,10 @@ def _sim_config(template, **settings):
     s = {**SIMULATE_DEFAULTS, **settings}
     dims = ImageDims(s["width"], s["height"])
     if "initial_homography" in s:
-        h0 = _matrix("initial_homography", s["initial_homography"])
+        h0 = _numbers(s["initial_homography"], "initial_homography", (None, None), None)
     else:
-        corners = _matrix("view_corners", s.get("view_corners", _default_corners(dims)))
+        corners = _numbers(s.get("view_corners", _default_corners(dims)), "view_corners",
+                           (None, None), None)
         try:
             h0 = dlt_homography(template.corners(), corners)
         except (FieldRegError, ValueError) as e:

@@ -204,6 +204,12 @@ def check_int(name, value, least):
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def check_positive(name, value):
+    """A ValueError naming name unless value is a finite number above 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite number above 0, got {value}")
+
+
 @dataclass(frozen=True)
 class RansacParams:
     """Knobs for robust homography fitting."""
@@ -216,9 +222,7 @@ class RansacParams:
     def __post_init__(self):
         # NaN would count no inliers, and a negative value acts as its
         # magnitude once squared
-        t = self.inlier_threshold_px
-        if not (math.isfinite(t) and t > 0.0):
-            raise ValueError(f"inlier_threshold_px must be a finite number above 0, got {t}")
+        check_positive("inlier_threshold_px", self.inlier_threshold_px)
         check_int("max_iters", self.max_iters, 1)
         check_int("seed", self.seed, 0)
         # the adaptive stop takes log(1 - confidence)

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegenerateProjection, NoMatchedKeypoints
 from .geometry import (
     EPS_T,
+    check_positive,
     clip_polygon,
     compose_rows,
     convex_polygon,
@@ -70,15 +71,13 @@ def _iou(poly_a, poly_b):
     return inter / union
 
 
-def iou_entire(h_gt, h_pred, template, dims):
+def iou_entire(h_gt, h_pred, template):
     """Whole-field IoU in template space.
 
     The field rectangle is pushed to the image by the ground truth and pulled
     back by the prediction; a perfect prediction reproduces the rectangle.
-    dims is unused by the math but kept for signature symmetry with the other
-    whole-frame metrics.  Raises SingularMatrix when h_pred is singular.
+    Raises SingularMatrix when h_pred is singular.
     """
-    del dims
     comp = _composite(invert_rows(_rows(h_pred)), _rows(h_gt))
     field = template.corners().tolist()
     return _iou(_mapped_quad(comp, field), field)
@@ -266,7 +265,9 @@ def precision_recall(det_ids, det_xy, gt_ids, gt_xy, dims, threshold_px=PR_THRES
     A detection is a true positive when a ground-truth keypoint with the same
     id lies within threshold_px after scaling to 1280x720.  Empty
     denominators give 0.0 with the corresponding _defined flag cleared.
+    Raises ValueError unless threshold_px is a finite number above 0.
     """
+    check_positive("pr_threshold_px", threshold_px)
     dists, n_det, n_gt = _reference_scaled_distances(det_ids, det_xy, gt_ids, gt_xy, dims)
     tp = int((dists <= threshold_px).sum())
     return PrecisionRecall(

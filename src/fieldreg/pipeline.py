@@ -21,7 +21,7 @@ from .errors import (
     SingularMatrix,
     UnknownKeypointId,
 )
-from .geometry import EPS_DET, RansacParams, check_int, ransac_homography
+from .geometry import EPS_DET, RansacParams, check_int, check_positive, ransac_homography
 from .homography_filter import (
     MAX_INNOVATION_CONDITION,
     ekf_init,
@@ -278,9 +278,7 @@ def check_evaluate_settings(**settings):
     check_int("seed", settings.get("rng_seed", 0), 0)
     if (n := settings.get("projection_samples", 1)) < 1:
         raise ValueError(f"projection_samples must be at least 1, got {n}")
-    t = settings.get("pr_threshold_px", PR_THRESHOLD_PX)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"pr_threshold_px must be a finite number above 0, got {t}")
+    check_positive("pr_threshold_px", settings.get("pr_threshold_px", PR_THRESHOLD_PX))
     return settings
 
 
@@ -331,7 +329,7 @@ def run_evaluate(predictions, truth_frames, template, dims, rng_seed=0,
         try:
             h_gt = truth.gt_homography
             h_pred = pred.homography
-            values["iou_entire"] = iou_entire(h_gt, h_pred, template, dims)
+            values["iou_entire"] = iou_entire(h_gt, h_pred, template)
             values["iou_entire_image"] = iou_entire_image(h_gt, h_pred, dims)
             values["iou_part"] = iou_part(h_gt, h_pred, dims)
             values["projection_error_m"] = projection_error(

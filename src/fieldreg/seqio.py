@@ -46,8 +46,8 @@ H_PARAM_ORDER_TAG = "column-stacked: h11 h21 h31 h12 h22 h32 h13 h23 (h33 fixed 
 BLOCK_ROWS = 48
 # A block with a number this large or larger is read row by row.  Below it
 # a float holds every integer exactly, and an [id, x, y] list of integers
-# fits the int64 array that _id_xy makes of it.  The bound also leaves out
-# NaN and the infinities.
+# fits the int64 array that _id_pos_block makes of it.  The bound also
+# leaves out NaN and the infinities.
 _BLOCK_MAX = 2.0 ** 53
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -110,15 +110,46 @@ def _dim(row, key, path, line):
     return value
 
 
-def _finite(value, key, shape, path, line=None):
-    """A finite float array reshaped to shape, or a FormatError naming key."""
+def _numbers(value, key, shape, path, line=None):
+    """value, nested JSON arrays of JSON numbers, as a finite float array; a
+    FormatError naming key otherwise.
+
+    shape gives the exact nesting, outermost level first: a number is that
+    level's length, None any length that is the same across the level.
+    Nothing is reshaped.  The checks run in turn: the nesting, then that
+    every leaf is a number (not true or "2.5"), then that a float holds it,
+    then that it is finite.
+    """
+    leaves, dims = [value], []
+    for n in shape:
+        if not {list}.issuperset(map(type, leaves)):
+            raise _nesting_error(key, shape, path, line)
+        lengths = set(map(len, leaves))
+        if len(lengths) > 1 or n is not None and lengths - {n}:
+            raise _nesting_error(key, shape, path, line)
+        dims.append(lengths.pop() if lengths else n or 0)
+        leaves = list(chain.from_iterable(leaves))
+    if not _NUMBER_TYPES.issuperset(map(type, leaves)):
+        bad = [v for v in leaves if type(v) not in _NUMBER_TYPES]
+        if list in map(type, bad):
+            raise _nesting_error(key, shape, path, line)
+        raise FormatError(f"{key}: {json.dumps(bad[0]):.40} is not a number",
+                          path=path, line=line)
     try:
-        a = np.array(value, dtype=float).reshape(shape)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise FormatError(f"bad {key}: {e}", path=path, line=line) from None
+        a = np.array(leaves, dtype=float)
+    except OverflowError:
+        raise FormatError(f"{key} holds a number too large for a float",
+                          path=path, line=line) from None
     if not np.isfinite(a).all():
         raise FormatError(f"non-finite {key} value", path=path, line=line)
-    return a
+    return a.reshape(dims)
+
+
+def _nesting_error(key, shape, path, line):
+    dims = " x ".join("NM"[i] if n is None else str(n) for i, n in enumerate(shape))
+    what = {0: "a number", 1: f"an array of {dims} numbers"}.get(
+        len(shape), f"nested arrays of shape {dims}")
+    return FormatError(f"{key} must be {what}", path=path, line=line)
 
 
 def _id_xy(entries, key, path, line=None):
@@ -126,47 +157,13 @@ def _id_xy(entries, key, path, line=None):
 
     Ids must be unique JSON integers, and x, y finite numbers.
     """
-    a = None
-    if isinstance(entries, list):
-        try:
-            a = np.array(entries) if entries else np.empty((0, 3))
-        except ValueError:      # ragged
-            pass
-    if a is None or a.ndim != 2 or a.shape[1] != 3 or a.dtype.kind not in "if":
-        raise FormatError(f"{key} must be a list of [id, x, y]", path=path, line=line)
+    a = _numbers(entries, key, (None, 3), path, line)
     ids = [e[0] for e in entries]
     if not all(type(i) is int for i in ids):
         raise FormatError(f"{key} ids must be integers", path=path, line=line)
     if len(set(ids)) != len(ids):
         raise FormatError(f"duplicate ids in {key}", path=path, line=line)
-    return ids, _finite(a[:, 1:], key, (-1, 2), path, line)
-
-
-def _non_number(value):
-    """[the first leaf of value, a number or nested lists, that is not a JSON
-    number], or [] when there is none."""
-    if type(value) is not list:
-        return [] if type(value) in _NUMBER_TYPES else [value]
-    if _NUMBER_TYPES.issuperset(map(type, value)):
-        return []
-    for v in value:
-        bad = _non_number(v)
-        if bad:
-            return bad
-    return []
-
-
-def _check_numbers(key, value, path, line):
-    """A FormatError naming key unless every leaf of value is a JSON number.
-
-    float() and np.array(dtype=float) take true, false and numeric strings,
-    so the other checks pass them; this one runs after those, which keeps
-    the errors they raise as they were.
-    """
-    bad = _non_number(value)
-    if bad:
-        raise FormatError(f"{key}: {json.dumps(bad[0]):.40} is not a number",
-                          path=path, line=line)
+    return ids, a[:, 1:].copy()
 
 
 # -- field templates ---------------------------------------------------------
@@ -191,12 +188,11 @@ def read_template(path):
     _expect_kind(doc, TEMPLATE_KIND, path)
     try:
         ids, pos = _id_xy(doc["keypoints"], "keypoints", path)
-        template = FieldTemplate(ids=np.array(ids), positions=pos,
-                                 width_m=float(doc["width_m"]), height_m=float(doc["height_m"]))
+        width, height = (float(_numbers(doc[key], key, (), path))
+                         for key in ("width_m", "height_m"))
+        template = FieldTemplate(ids=np.array(ids), positions=pos, width_m=width, height_m=height)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad template document: {e}", path=path) from None
-    for key in ("width_m", "height_m", "keypoints"):
-        _check_numbers(key, doc[key], path, None)
     return template
 
 
@@ -363,16 +359,9 @@ def _parse_id_pos(entries, key, template, path, line):
 def _parse_homography(value, key, path, line):
     """A finite 3x3 matrix normalized to h33 = 1, or a FormatError naming key."""
     try:
-        return normalize_homography(_finite(value, key, (3, 3), path, line))
+        return normalize_homography(_numbers(value, key, (3, 3), path, line))
     except SingularMatrix as e:
         raise FormatError(f"bad {key}: {e}", path=path, line=line) from None
-
-
-def _check_row_numbers(row, keys, path, line):
-    """_check_numbers on each of keys that row holds, not null, in turn."""
-    for key in keys:
-        if row.get(key) is not None:
-            _check_numbers(key, row[key], path, line)
 
 
 def _sequence_frame(line, idx, row, template, path):
@@ -381,16 +370,14 @@ def _sequence_frame(line, idx, row, template, path):
                                  template, path, line)
     motion = None
     if "motion" in row:
-        p = row["motion"]
-        if not isinstance(p, list) or len(p) != 4:
-            raise FormatError("motion must be [a, b, tx, ty]", path=path, line=line)
+        p = _numbers(row["motion"], "motion", (4,), path, line)
         try:
-            motion = AffineSimilarity(*_finite(p, "motion", 4, path, line).tolist())
+            motion = AffineSimilarity(*p.tolist())
         except ValueError as e:
             raise FormatError(f"bad motion: {e}", path=path, line=line) from None
     flow = None
     if "flow" in row:
-        arr = _finite(row["flow"], "flow", (-1, 4), path, line)
+        arr = _numbers(row["flow"], "flow", (None, 4), path, line)
         flow = (arr[:, :2].copy(), arr[:, 2:].copy())
     gt_h = None
     if "gt_homography" in row:
@@ -399,8 +386,6 @@ def _sequence_frame(line, idx, row, template, path):
     if "gt_keypoints" in row:
         gt_idx, gt_pos = _parse_id_pos(row["gt_keypoints"], "gt_keypoints",
                                        template, path, line)
-    _check_row_numbers(row, ("measurements", "motion", "flow", "gt_homography", "gt_keypoints"),
-                       path, line)
     return SequenceFrame(
         frame_index=idx,
         measurements=MeasurementFrame(idx, m_idx, m_pos),
@@ -421,7 +406,6 @@ def _estimate(line, idx, row, template, path):
     flags = row.get("flags", [])
     if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
         raise FormatError("flags must be a list of strings", path=path, line=line)
-    _check_row_numbers(row, ("homography", "keypoints"), path, line)
     return FrameEstimate(frame_index=idx, homography=H, keypoint_ids=k_idx,
                          keypoint_positions=k_pos, flags=tuple(flags))
 
@@ -683,22 +667,19 @@ def read_bank(path):
     if doc.get("homography_param_order") != H_PARAM_ORDER_TAG:
         raise FormatError(
             f"unknown homography parameter order {doc.get('homography_param_order')!r}", path=path)
-    # matrices whose leaves are not yet known to be JSON numbers, by key
-    unchecked = []
     try:
         def section(name, k):
             sec = doc[name]
-            pooled = _finite(sec["pooled"], f"{name} pooled", (k, k), path)
-            unchecked.append((f"{name} pooled", sec["pooled"]))
+            pooled = _numbers(sec["pooled"], f"{name} pooled", (k, k), path)
             items = list(sec.get("per_id", {}).items())
             # one stack for every block; one block at a time only to name a bad one
-            stack = _stack([m for _, m in items], (k, k))
-            if stack is None:
-                blocks = {int(i): _finite(m, f"{name} per_id {i}", (k, k), path)
-                          for i, m in items}
-                unchecked.extend((f"{name} per_id {i}", m) for i, m in items)
-            else:
-                blocks = {int(i): m for (i, _), m in zip(items, stack)}
+            try:
+                stack = _numbers([m for _, m in items], f"{name} per_id", (None, k, k), path)
+            except FormatError:
+                for i, m in items:
+                    _numbers(m, f"{name} per_id {i}", (k, k), path)
+                raise
+            blocks = {int(i): m for (i, _), m in zip(items, stack)}
             counts = {int(i): _int(c, f"{name} counts", path)
                       for i, c in sec.get("counts", {}).items()}
             return blocks, pooled, counts
@@ -706,26 +687,22 @@ def read_bank(path):
         kp_blocks, kp_pooled, kp_counts = section("keypoint_process", 2)
         m_blocks, m_pooled, m_counts = section("measurement", 2)
         samples = doc.get("samples", {})
-        bank = CovarianceBank(
+        return CovarianceBank(
             keypoint_process=kp_blocks,
             keypoint_process_pooled=kp_pooled,
             keypoint_process_counts=kp_counts,
             measurement=m_blocks,
             measurement_pooled=m_pooled,
             measurement_counts=m_counts,
-            homography_process=_finite(doc["homography_process"], "homography_process",
-                                       (8, 8), path),
+            homography_process=_numbers(doc["homography_process"], "homography_process",
+                                        (8, 8), path),
             homography_process_samples=_int(samples.get("homography_process", 0),
                                             "samples", path),
-            init_homography=_finite(doc["init_homography"], "init_homography", (8, 8), path),
+            init_homography=_numbers(doc["init_homography"], "init_homography", (8, 8), path),
             init_homography_samples=_int(samples.get("init_homography", 0), "samples", path),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad covariance bank: {e}", path=path) from None
-    unchecked += [(key, doc[key]) for key in ("homography_process", "init_homography")]
-    for key, value in unchecked:
-        _check_numbers(key, value, path, None)
-    return bank
 
 
 # -- metric reports ----------------------------------------------------------

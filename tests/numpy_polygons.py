@@ -131,7 +131,7 @@ def iou(poly_a, poly_b):
     return float(inter / union)
 
 
-def iou_entire(h_gt, h_pred, template, dims, eps=EPS_T):
+def iou_entire(h_gt, h_pred, template, eps=EPS_T):
     comp = composite(invert_homography(h_pred), h_gt)
     quad = mapped_quad(comp, template.corners(), eps)
     return iou(quad, template.corners())

@@ -397,7 +397,7 @@ def test_criterion_06_iou_against_monte_carlo_and_worked_examples():
         # worked examples, exact arithmetic
         h_gt = np.array([[10.0, 0.0, 50.0], [0.0, 10.0, 20.0], [0.0, 0.0, 1.0]])
         shift_field = np.array([[1.0, 0.0, 7.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert iou_entire(h_gt, h_gt @ shift_field, TEMPLATE, DIMS) == \
+        assert iou_entire(h_gt, h_gt @ shift_field, TEMPLATE) == \
             pytest.approx(98.0 / 112.0, abs=EXACT_TOL)
         shift_img = np.array([[1.0, 0.0, 128.0], [0.0, 1.0, 72.0], [0.0, 0.0, 1.0]])
         inter = (1280.0 - 128.0) * (720.0 - 72.0)
@@ -445,7 +445,7 @@ def test_criterion_06_iou_against_monte_carlo_and_worked_examples():
             variant = done % 3
             try:
                 if variant == 0:
-                    analytic = iou_entire(h_gt, h_pred, TEMPLATE, DIMS)
+                    analytic = iou_entire(h_gt, h_pred, TEMPLATE)
                     quad_a = warp_corners(
                         normalize_homography(invert_homography(h_pred) @ h_gt),
                         field_rect)

@@ -48,17 +48,17 @@ def test_iou_entire_translation_oracle():
     h_gt = view_homography()
     for dx in (0.0, 5.0, 20.0):
         h_pred = h_gt @ field_translation(dx, 0.0)
-        got = iou_entire(h_gt, h_pred, TEMPLATE, DIMS)
+        got = iou_entire(h_gt, h_pred, TEMPLATE)
         assert got == pytest.approx((105.0 - dx) / (105.0 + dx), abs=1e-12)
 
 
 def test_iou_entire_perfect_is_one():
     h_gt = view_homography()
-    assert iou_entire(h_gt, h_gt.copy(), TEMPLATE, DIMS) == pytest.approx(1.0, abs=1e-12)
+    assert iou_entire(h_gt, h_gt.copy(), TEMPLATE) == pytest.approx(1.0, abs=1e-12)
     assert iou_entire_image(h_gt, h_gt.copy(), DIMS) == pytest.approx(1.0, abs=1e-12)
     assert iou_part(h_gt, h_gt.copy(), DIMS) == pytest.approx(1.0, abs=1e-12)
     # scale invariance: a scalar multiple is the same projective map
-    assert iou_entire(h_gt, 3.0 * h_gt, TEMPLATE, DIMS) == pytest.approx(1.0, abs=1e-12)
+    assert iou_entire(h_gt, 3.0 * h_gt, TEMPLATE) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_iou_entire_image_translation_oracle():
@@ -123,7 +123,7 @@ def test_iou_entire_monte_carlo_oracle():
     in_a = inside(pts, A)
     in_b = inside(pts, B)
     mc = (in_a & in_b).sum() / (in_a | in_b).sum()
-    assert iou_entire(h_gt, h_pred, TEMPLATE, DIMS) == pytest.approx(mc, abs=8e-3)
+    assert iou_entire(h_gt, h_pred, TEMPLATE) == pytest.approx(mc, abs=8e-3)
 
 
 def test_projection_error_translation_oracle():
@@ -276,7 +276,7 @@ def test_degenerate_projection_raises():
     # gt pushing the field rectangle across infinity
     h_bad = np.array([[10.0, 0.0, 50.0], [0.0, 10.0, 20.0], [-0.02, 0.0, 1.0]])
     with pytest.raises(DegenerateProjection):
-        iou_entire(h_bad, AFFINE_VIEW, TEMPLATE, DIMS)
+        iou_entire(h_bad, AFFINE_VIEW, TEMPLATE)
     with pytest.raises(DegenerateProjection):
         projection_error(h_bad, AFFINE_VIEW, TEMPLATE, DIMS, n_samples=50)
 
@@ -322,6 +322,16 @@ def test_precision_recall_undefined_cases():
     assert pr.precision == 0.0 and not pr.precision_defined and pr.recall_defined
     pr = precision_recall(gt_ids, gt_xy, empty_i, empty_p, DIMS)
     assert pr.recall == 0.0 and not pr.recall_defined and pr.precision_defined
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -5.0])
+def test_precision_recall_rejects_a_bad_match_threshold(threshold):
+    # a NaN or negative threshold would score detections that sit on the
+    # ground truth as misses
+    ids = np.array([0, 1])
+    xy = np.array([[100.0, 200.0], [300.0, 400.0]])
+    with pytest.raises(ValueError, match="^pr_threshold_px must be a finite number above 0, got "):
+        precision_recall(ids, xy, ids, xy, ImageDims(1280, 720), threshold_px=threshold)
 
 
 def test_average_precision_hand_examples():

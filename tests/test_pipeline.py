@@ -526,7 +526,8 @@ def test_template_ids_and_bank_counts_must_be_json_integers(tmp_path, value):
     doc = json.loads(tpl.read_text())
     doc["keypoints"][0][0] = value
     tpl.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match=f"^{re.escape(str(tpl))}: keypoints"):
+    # an infinite id fails the finiteness check that every number in a file meets
+    with pytest.raises(FormatError, match=f"^{re.escape(str(tpl))}: (non-finite )?keypoints"):
         read_template(tpl)
     bank = tmp_path / "bank.json"
     doc = json.loads((GOLDEN / "golden_bank.json").read_text())
@@ -678,15 +679,15 @@ def test_cli_error_paths(tmp_path, capsys):
             ("simulate", '{"initial_homography": [[1, 0], [0, 1]]}',
              "initial_homography must have shape (3, 3)"),
             ("simulate", '{"motion": {"kind": "pan", "translation_amplitude": 3}}',
-             "motion translation_amplitude must be an array of two numbers"),
+             "motion translation_amplitude must be an array of 2 numbers"),
             ("simulate", '{"frames": [1]}', "frames must be an integer"),
             ("simulate", '{"frames": Infinity}', "frames must be an integer"),
             ("simulate", '{"frames": 3, "noise": {"measurement": [[NaN, 0], [0, 1]]}}',
-             "non-finite entries in measurement"),
+             "non-finite noise measurement value"),
             ("simulate", '{"view_corners": [[NaN, 100], [1000, 100], [1200, 700], [50, 700]], '
-                         '"frames": 3}', "view_corners: non-finite point coordinates"),
+                         '"frames": 3}', "non-finite view_corners value"),
             ("simulate", '{"initial_homography": [[1, 0, 0], [0, 1, 0], [0, 0, Infinity]], '
-                         '"frames": 3}', "non-finite entries in initial_homography"),
+                         '"frames": 3}', "non-finite initial_homography value"),
             ("filter", '{"max_condition": null}', "max_condition must be a number"),
             ("filter", '{"init_from_homography": true}', "unknown key 'init_from_homography'"),
             ("evaluate", '{"projection_samples": 0}', "projection_samples must be at least 1"),
@@ -769,8 +770,9 @@ def test_template_field_size_must_be_finite_and_positive(tmp_path, key, value):
     doc = json.loads(tpl.read_text())
     doc[key] = value
     tpl.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match=f"^{re.escape(str(tpl))}: bad template document: "
-                                          "field dimensions must be finite and positive"):
+    message = ("bad template document: field dimensions must be finite and positive"
+               if value == 0.0 else f"non-finite {key} value")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(tpl))}: {message}"):
         read_template(tpl)
 
 

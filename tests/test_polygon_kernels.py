@@ -188,8 +188,8 @@ def test_homography_metrics_match_the_oracle():
              lambda: oracle.mapped_quad(h_pred, field)),
             (lambda: metrics._mapped_quad(rows_gt, image.tolist()),
              lambda: oracle.mapped_quad(h_gt, image)),
-            (lambda: metrics.iou_entire(h_gt, h_pred, TEMPLATE, DIMS),
-             lambda: oracle.iou_entire(h_gt, h_pred, TEMPLATE, DIMS)),
+            (lambda: metrics.iou_entire(h_gt, h_pred, TEMPLATE),
+             lambda: oracle.iou_entire(h_gt, h_pred, TEMPLATE)),
             (lambda: metrics.iou_entire_image(h_gt, h_pred, DIMS),
              lambda: oracle.iou_entire_image(h_gt, h_pred, DIMS)),
             (lambda: metrics.iou_part(h_gt, h_pred, DIMS),

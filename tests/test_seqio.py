@@ -93,7 +93,8 @@ def _edge(key, value):
 
 
 # rows that the block checks hand to the row-by-row path, which takes some
-# of them (a reshape) and rejects the others
+# of them (numbers of 2**53 and above) and rejects the others, nesting other
+# than the documented one among them
 EDGES = [
     *(_edge("measurements", [[0, x, 1.5]])
       for x in (10 ** 400, -10 ** 19, 10 ** 19, 1e300, 2 ** 53)),
@@ -178,6 +179,16 @@ NOT_NUMBERS_IN_DOCUMENTS = [
 ]
 
 
+def _jsonl_error(tmp_path, file, which):
+    """(the path file was written to, the text of the FormatError reading it gives)."""
+    path = tmp_path / file[0]
+    path.write_text(file[1])
+    read = seqio.read_sequence if which == "sequence" else seqio.read_estimates
+    with pytest.raises(FormatError) as e:
+        read(path, TEMPLATE)
+    return path, str(e.value)
+
+
 @pytest.mark.parametrize("row_by_row", [False, True], ids=["block", "row"])
 @pytest.mark.parametrize("case, file, which, message", NOT_NUMBERS,
                          ids=[c[0] for c in NOT_NUMBERS])
@@ -186,13 +197,9 @@ def test_a_json_number_or_string_is_not_coerced(tmp_path, monkeypatch, row_by_ro
     # float(), np.array(dtype=float) and str() took each of these
     if row_by_row:
         _row_by_row(monkeypatch)
-    path = tmp_path / file[0]
-    path.write_text(file[1])
-    read = seqio.read_sequence if which == "sequence" else seqio.read_estimates
-    with pytest.raises(FormatError) as e:
-        read(path, TEMPLATE)
-    assert str(e.value).startswith(f"{path}: {message}")
-    assert str(e.value).endswith((" is not a number", f"got {message.split()[-1]}"))
+    path, error = _jsonl_error(tmp_path, file, which)
+    assert error.startswith(f"{path}: {message}")
+    assert error.endswith((" is not a number", f"got {message.split()[-1]}"))
 
 
 @pytest.mark.parametrize("case, which, edit, message", NOT_NUMBERS_IN_DOCUMENTS,
@@ -207,3 +214,32 @@ def test_a_json_number_in_a_document_is_not_coerced(tmp_path, case, which, edit,
         read(path)
     assert str(e.value).startswith(f"{path}: {message}")
     assert str(e.value).endswith(" is not a number")
+
+
+IDENTITY_FLAT = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+# (case id, (file name, text), reader, the error after "<path>: "): arrays
+# that a reshape would take, each misread before the readers checked nesting
+NESTED_WRONG = [
+    ("flow-xy-pairs", _jsonl_case(SEQUENCE, 3, _edge("flow", [[100, 200], [103, 201]])),
+     "sequence", "line 3: flow must be nested arrays of shape N x 4"),
+    ("flow-flat", _jsonl_case(SEQUENCE, 3, _edge("flow", [100, 200, 103, 201])),
+     "sequence", "line 3: flow must be nested arrays of shape N x 4"),
+    ("gt-homography-flat", _jsonl_case(SEQUENCE, 3, _edge("gt_homography", IDENTITY_FLAT)),
+     "sequence", "line 3: gt_homography must be nested arrays of shape 3 x 3"),
+    ("motion-one-element-lists",
+     _jsonl_case(SEQUENCE, 3, _edge("motion", [[1.0], [0.0], [0.5], [0.5]])),
+     "sequence", "line 3: motion must be an array of 4 numbers"),
+    ("estimates-homography-flat", _jsonl_case(ESTIMATES, 6, _edge("homography", IDENTITY_FLAT)),
+     "estimates", "line 6: homography must be nested arrays of shape 3 x 3"),
+]
+
+
+@pytest.mark.parametrize("row_by_row", [False, True], ids=["block", "row"])
+@pytest.mark.parametrize("case, file, which, message", NESTED_WRONG,
+                         ids=[c[0] for c in NESTED_WRONG])
+def test_arrays_are_nested_as_documented(tmp_path, monkeypatch, row_by_row,
+                                          case, file, which, message):
+    if row_by_row:
+        _row_by_row(monkeypatch)
+    path, error = _jsonl_error(tmp_path, file, which)
+    assert error == f"{path}: {message}"
